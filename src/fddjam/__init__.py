@@ -52,15 +52,12 @@ from .training import (
     PILOT_DESIGNS,
     PilotMatrix,
     TrainingConfig,
-    closed_form_mse,
     empirical_mse,
-    estimate_covariance,
     mmse_estimate,
     optimal_pilots,
     random_unitary_pilots,
     received_signal,
     scenario_closed_form_mse,
-    unaware_closed_form_mse,
     worst_case_pilots,
 )
 
@@ -85,9 +82,7 @@ __all__ = [
     "TrainingConfig",
     "WORKERS_ENV_VAR",
     "__version__",
-    "closed_form_mse",
     "empirical_mse",
-    "estimate_covariance",
     "exponential_covariance",
     "figure_spec",
     "haar_orthonormal_columns",
@@ -110,7 +105,6 @@ __all__ = [
     "solve_hpd",
     "spec_from_dict",
     "spec_to_dict",
-    "unaware_closed_form_mse",
     "verify_lemma",
     "worst_case_pilots",
     "write_results",

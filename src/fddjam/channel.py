@@ -79,14 +79,15 @@ def exponential_covariance(size: int, coefficient: float) -> ChannelCovariance:
     to one concentrate the spectrum in a few eigenmodes. Exactly one yields
     the rank-one all-ones matrix, accepted but flagged degenerate with a
     ``RuntimeWarning`` (downstream estimation still works because the noise
-    term regularizes every inversion).
+    term regularizes every inversion); for ``size = 1`` that matrix is the
+    full-rank 1x1 identity and is not flagged.
     """
     if int(size) != size or size < 1:
         raise ValueError(f"size must be a positive integer, got {size!r}")
     c = float(coefficient)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"correlation coefficient must lie in [0, 1], got {c}")
-    degenerate = c == 1.0
+    degenerate = c == 1.0 and size > 1
     if degenerate:
         warnings.warn(
             "correlation coefficient 1 gives a rank-one (singular) covariance",

@@ -25,22 +25,23 @@ from .experiments import (
     JAMMING_CHOICES,
     ResultRow,
     ExperimentSpec,
+    _build_jamming,
+    _build_pilots,
+    _check_keys,
+    _training_config_from_dict,
     figure_spec,
     row_fields,
     run_sweep,
     spec_from_dict,
     write_results,
 )
-from .jammer import optimal_jamming, single_shot_jamming, verify_lemma
+from .jammer import verify_lemma
 from .training import (
     ESTIMATOR_MODES,
     PILOT_DESIGNS,
     TrainingConfig,
     empirical_mse,
-    optimal_pilots,
-    random_unitary_pilots,
     scenario_closed_form_mse,
-    worst_case_pilots,
 )
 
 __all__ = ["build_parser", "main"]
@@ -120,55 +121,43 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-_VERIFY_KEYS = frozenset(
+_VERIFY_REQUIRED = frozenset(
     {"num_bs_antennas", "num_jammer_antennas", "pilot_length", "bs_power_db",
-     "jammer_power_db", "noise_variance", "bs_correlation", "jammer_correlation",
-     "pilot_design", "num_random", "seed"}
+     "bs_correlation"}
 )
+_VERIFY_OPTIONAL = frozenset(
+    {"jammer_power_db", "noise_variance", "jammer_correlation", "pilot_design",
+     "num_random", "seed"}
+)
+
+
+def _non_negative_int(data: dict, key: str, default: int) -> int:
+    value = data.get(key, default)
+    try:
+        valid = int(value) == value and value >= 0
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 def _cmd_verify_lemma(args) -> int:
     data = _load_json(args.config)
-    if not isinstance(data, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - _VERIFY_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    required = {"num_bs_antennas", "num_jammer_antennas", "pilot_length",
-                "bs_power_db", "bs_correlation"}
-    missing = required - set(data)
-    if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
-    cfg = TrainingConfig(
-        num_bs_antennas=data["num_bs_antennas"],
-        num_jammer_antennas=data["num_jammer_antennas"],
-        pilot_length=data["pilot_length"],
-        bs_power_db=float(data["bs_power_db"]),
-        jammer_power_db=float(data.get("jammer_power_db", data["bs_power_db"])),
-        noise_variance=float(data.get("noise_variance", 1.0)),
-        bs_correlation=float(data["bs_correlation"]),
-        jammer_correlation=(
-            None if data.get("jammer_correlation") is None
-            else float(data["jammer_correlation"])
-        ),
-    )
+    _check_keys(data, _VERIFY_REQUIRED, _VERIFY_OPTIONAL)
+    cfg = _training_config_from_dict(data, data["num_bs_antennas"], data["pilot_length"])
     pilot_design = data.get("pilot_design", "optimal")
-    num_random = data.get("num_random", 500)
-    seed = data.get("seed", 0)
+    if pilot_design not in PILOT_DESIGNS:
+        raise ConfigError(
+            f"pilot_design must be one of {PILOT_DESIGNS}, got {pilot_design!r}"
+        )
+    num_random = _non_negative_int(data, "num_random", 500)
+    seed = _non_negative_int(data, "seed", 0)
 
     bs_cov = exponential_covariance(cfg.num_bs_antennas, cfg.bs_correlation)
     jam_cov = exponential_covariance(cfg.num_jammer_antennas, cfg.jammer_correlation)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
-    if pilot_design == "optimal":
-        pilots = optimal_pilots(bs_cov, cfg.pilot_length)
-    elif pilot_design == "worst-case":
-        pilots = worst_case_pilots(bs_cov, cfg.pilot_length)
-    elif pilot_design == "random-unitary":
-        pilots = random_unitary_pilots(cfg.num_bs_antennas, cfg.pilot_length, rng)
-    else:
-        raise ConfigError(
-            f"unknown pilot design {pilot_design!r}; expected one of {PILOT_DESIGNS}"
-        )
+    pilots = _build_pilots(pilot_design, bs_cov, cfg.pilot_length, rng)
     verdict = verify_lemma(bs_cov, jam_cov, pilots, cfg, num_random, rng)
 
     def fmt(value):
@@ -199,18 +188,8 @@ def _cmd_mse(args) -> int:
     bs_cov = exponential_covariance(cfg.num_bs_antennas, cfg.bs_correlation)
     jam_cov = exponential_covariance(cfg.num_jammer_antennas, cfg.jammer_correlation)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    if args.pilot == "optimal":
-        pilots = optimal_pilots(bs_cov, cfg.pilot_length)
-    elif args.pilot == "worst-case":
-        pilots = worst_case_pilots(bs_cov, cfg.pilot_length)
-    else:
-        pilots = random_unitary_pilots(cfg.num_bs_antennas, cfg.pilot_length, rng)
-    if args.jamming == "silent":
-        jamming = None
-    elif args.jamming == "single-shot":
-        jamming = single_shot_jamming(cfg.num_jammer_antennas, cfg.pilot_length)
-    else:
-        jamming = optimal_jamming(jam_cov, cfg.pilot_length)
+    pilots = _build_pilots(args.pilot, bs_cov, cfg.pilot_length, rng)
+    jamming = _build_jamming(args.jamming, jam_cov, cfg)
 
     closed = scenario_closed_form_mse(pilots, jamming, bs_cov, jam_cov, cfg, args.estimator)
     mse_mc = std_err = None

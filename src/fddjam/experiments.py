@@ -416,6 +416,42 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     }
 
 
+def _check_keys(data, required: frozenset, optional: frozenset) -> None:
+    """Reject a config that is not an object, has unknown keys or misses some."""
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+    unknown = set(data) - required - optional
+    if unknown:
+        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    missing = required - set(data)
+    if missing:
+        raise ConfigError(f"missing config keys: {sorted(missing)}")
+
+
+def _training_config_from_dict(data: dict, num_bs_antennas, pilot_length) -> TrainingConfig:
+    """TrainingConfig from the flat config scalars, with the two sized fields given.
+
+    ``jammer_power_db`` defaults to ``bs_power_db``, ``noise_variance`` to 1
+    and ``jammer_correlation`` to ``bs_correlation``.
+    """
+    try:
+        return TrainingConfig(
+            num_bs_antennas=num_bs_antennas,
+            num_jammer_antennas=data["num_jammer_antennas"],
+            pilot_length=pilot_length,
+            bs_power_db=float(data["bs_power_db"]),
+            jammer_power_db=float(data.get("jammer_power_db", data["bs_power_db"])),
+            noise_variance=float(data.get("noise_variance", 1.0)),
+            bs_correlation=float(data["bs_correlation"]),
+            jammer_correlation=(
+                None if data.get("jammer_correlation") is None
+                else float(data["jammer_correlation"])
+            ),
+        )
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid training parameters: {exc}") from exc
+
+
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from the flat config schema.
 
@@ -424,14 +460,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     swept base field (``pilot_length`` or ``num_bs_antennas``) may be
     omitted; it is then seeded with the first axis value.
     """
-    if not isinstance(data, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
-    unknown = set(data) - _REQUIRED_KEYS - _OPTIONAL_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    missing = _REQUIRED_KEYS - set(data)
-    if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
+    _check_keys(data, _REQUIRED_KEYS, _OPTIONAL_KEYS)
 
     sweep_axis = data["sweep_axis"]
     axis_values = data["axis_values"]
@@ -474,22 +503,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     else:
         raise ConfigError(f"unknown sweep axis {sweep_axis!r}; expected one of {SWEEP_AXES}")
 
-    try:
-        base = TrainingConfig(
-            num_bs_antennas=num_bs,
-            num_jammer_antennas=data["num_jammer_antennas"],
-            pilot_length=pilot_length,
-            bs_power_db=float(data["bs_power_db"]),
-            jammer_power_db=float(data.get("jammer_power_db", data["bs_power_db"])),
-            noise_variance=float(data.get("noise_variance", 1.0)),
-            bs_correlation=float(data["bs_correlation"]),
-            jammer_correlation=(
-                None if data.get("jammer_correlation") is None
-                else float(data["jammer_correlation"])
-            ),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid training parameters: {exc}") from exc
+    base = _training_config_from_dict(data, num_bs, pilot_length)
 
     return ExperimentSpec(
         base=base,

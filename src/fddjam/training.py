@@ -13,6 +13,7 @@ Monte-Carlo evaluation is provided as an independent check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -39,15 +40,12 @@ __all__ = [
     "MonteCarloMse",
     "PilotMatrix",
     "TrainingConfig",
-    "closed_form_mse",
     "empirical_mse",
-    "estimate_covariance",
     "mmse_estimate",
     "optimal_pilots",
     "random_unitary_pilots",
     "received_signal",
     "scenario_closed_form_mse",
-    "unaware_closed_form_mse",
     "worst_case_pilots",
 ]
 
@@ -118,8 +116,22 @@ class TrainingConfig:
                 f"pilot_length {self.pilot_length} exceeds "
                 f"num_bs_antennas {self.num_bs_antennas}"
             )
-        if self.noise_variance < 0:
-            raise ValueError(f"noise_variance must be >= 0, got {self.noise_variance}")
+        if not 0 <= self.noise_variance < math.inf:
+            raise ValueError(
+                f"noise_variance must be finite and >= 0, got {self.noise_variance}"
+            )
+        for field in ("bs_power_db", "jammer_power_db"):
+            value = getattr(self, field)
+            # -inf dB is a switched-off transmitter; NaN or a power that
+            # overflows would only fail later, inside a solver
+            try:
+                linear = _db_to_linear(value, self.noise_variance)
+            except OverflowError:
+                linear = math.inf
+            if math.isnan(value) or not math.isfinite(linear):
+                raise ValueError(
+                    f"{field} must be a number whose linear power is finite, got {value!r}"
+                )
         if not 0.0 <= self.bs_correlation <= 1.0:
             raise ValueError(
                 f"bs_correlation must lie in [0, 1], got {self.bs_correlation}"
@@ -301,85 +313,76 @@ def received_signal(
     return y + noise
 
 
-def _pilot_cross_cov(pilots: PilotMatrix, bs_cov: ChannelCovariance, cfg: TrainingConfig) -> np.ndarray:
-    """Covariance between the channel and the received block, shape (M, L)."""
-    return np.sqrt(pilots.length * cfg.bs_power) * (bs_cov.matrix @ pilots.matrix)
+def _pilot_terms(pilots: PilotMatrix, bs_cov: ChannelCovariance, cfg: TrainingConfig):
+    """Pilot-side terms of the received-block model: ``(CP, K, tr C)``.
 
-
-def _received_cov(
-    pilots: PilotMatrix,
-    jamming: "JammingMatrix | None",
-    bs_cov: ChannelCovariance,
-    jam_cov: ChannelCovariance | None,
-    cfg: TrainingConfig,
-    include_jamming: bool,
-) -> np.ndarray:
-    """Covariance of the received block, with or without the jamming term."""
-    length = pilots.length
-    gram = pilots.matrix.conj().T @ bs_cov.matrix @ pilots.matrix
-    cov = (length * cfg.bs_power) * gram + cfg.noise_variance * np.eye(length)
-    if include_jamming and jamming is not None:
-        z = jamming.matrix
-        cov = cov + (length * cfg.jammer_power) * (z.conj().T @ jam_cov.matrix @ z)
-    return 0.5 * (cov + cov.conj().T)
-
-
-def estimate_covariance(
-    pilots: PilotMatrix,
-    jamming: "JammingMatrix | None",
-    bs_cov: ChannelCovariance,
-    jam_cov: ChannelCovariance | None,
-    cfg: TrainingConfig,
-) -> np.ndarray:
-    """Covariance of the MMSE channel estimate.
-
-    Computed through a positive-definite solve (the inverse is never formed).
-    The result is Hermitian PSD, and the estimation-error covariance
-    ``bs_cov.matrix - estimate_covariance(...)`` is PSD as well.
-
-    Raises ``numpy.linalg.LinAlgError`` when the inner matrix is singular,
-    which requires a zero noise variance together with a rank-deficient
-    pilot/covariance combination.
+    Scaled by ``1 / (L * bs_power)``, the received block has covariance
+    ``K + J`` with ``K = PᴴCP + noise_variance / (L * bs_power) * I`` and the
+    jamming term ``J`` of ``_jamming_term``; its cross-covariance with the
+    channel is ``CP / sqrt(L * bs_power)``.
     """
-    _check_dimensions(pilots, jamming, bs_cov, jam_cov, cfg)
     if cfg.bs_power <= 0:
         raise ValueError("BS training power must be positive for estimation")
     length = pilots.length
-    cross = pilots.matrix.conj().T @ bs_cov.matrix  # (L, M)
-    inner = cross @ pilots.matrix
-    if jamming is not None:
-        z = jamming.matrix
-        inner = inner + (cfg.jammer_power / cfg.bs_power) * (
-            z.conj().T @ jam_cov.matrix @ z
-        )
-    inner = inner + (cfg.noise_variance / (length * cfg.bs_power)) * np.eye(length)
-    inner = 0.5 * (inner + inner.conj().T)
-    solved = solve_hpd(inner, cross)
-    est_cov = cross.conj().T @ solved
-    return 0.5 * (est_cov + est_cov.conj().T)
+    cp = bs_cov.matrix @ pilots.matrix
+    k = pilots.matrix.conj().T @ cp + (
+        cfg.noise_variance / (length * cfg.bs_power)
+    ) * np.eye(length)
+    return cp, 0.5 * (k + k.conj().T), float(np.trace(bs_cov.matrix).real)
 
 
-def closed_form_mse(estimate_cov, bs_cov: ChannelCovariance) -> float:
-    """Average per-antenna estimation MSE from the estimate covariance.
+def _jamming_term(z: np.ndarray, jam_cov: ChannelCovariance, cfg: TrainingConfig) -> np.ndarray:
+    """Jamming term ``J = (jammer_power / bs_power) * ZᴴC_jZ`` of the received block."""
+    return (cfg.jammer_power / cfg.bs_power) * (z.conj().T @ jam_cov.matrix @ z)
 
-    Equals ``trace(bs_cov - estimate_cov) / num_antennas``; with the
-    unit-diagonal covariance normalization the value lies in [0, 1].
 
-    Raises ``ArithmeticError`` if the trace difference is negative beyond
-    round-off tolerance (an internal-consistency failure).
+def _estimator_solve(terms, jam: np.ndarray | None, jammer_aware: bool):
+    """One Cholesky solve with the ``K`` the estimator models.
+
+    A jammer-aware estimator models ``K + J``; a jammer-unaware one models
+    ``K`` and leaves ``J`` out. Returns ``(W, V)`` with ``W = K⁻¹PᴴC`` (the
+    MMSE filter times ``sqrt(L * bs_power)``) and ``V = K⁻¹J`` for the
+    left-out jamming term, or None when nothing is left out.
     """
-    est = as_complex_matrix(estimate_cov, name="estimate covariance")
-    if est.shape != bs_cov.matrix.shape:
-        raise ValueError(
-            f"estimate covariance shape {est.shape} does not match "
-            f"channel covariance shape {bs_cov.matrix.shape}"
-        )
-    value = float((np.trace(bs_cov.matrix) - np.trace(est)).real) / bs_cov.size
+    cp, k, _ = terms
+    ignored = None if jammer_aware else jam
+    if jammer_aware and jam is not None:
+        k = k + jam
+        k = 0.5 * (k + k.conj().T)
+    rhs = cp.conj().T if ignored is None else np.hstack([cp.conj().T, ignored])
+    solved = solve_hpd(k, rhs)
+    num_antennas = cp.shape[0]
+    return solved[:, :num_antennas], None if ignored is None else solved[:, num_antennas:]
+
+
+def _closed_form(terms, jam: np.ndarray | None, jammer_aware: bool) -> float:
+    """Per-antenna MSE from the training-length system.
+
+    With ``X = K⁻¹PᴴC²P`` for the ``K`` the estimator models, the
+    error-covariance trace is ``tr C - tr X + tr(K⁻¹ J X)``, where ``J`` is
+    the jamming term the estimator leaves out: none when it is jammer-aware
+    or the jammer is silent (``jam`` None).
+
+    Raises ``ArithmeticError`` if the value is negative beyond round-off
+    tolerance (an internal-consistency failure).
+    """
+    cp, _, trace_c = terms
+    w, v = _estimator_solve(terms, jam, jammer_aware)
+    x = w @ cp
+    value = trace_c - float(np.trace(x).real)
+    if v is not None:
+        # tr(K⁻¹ J X) as the elementwise product of K⁻¹J with Xᵀ
+        value += float(np.sum(v * x.T).real)
+    num_antennas = cp.shape[0]
+    value /= num_antennas
     if value < MSE_NEGATIVE_FLOOR:
         raise ArithmeticError(
             f"closed-form MSE {value:.3e} is negative beyond tolerance"
         )
-    return min(max(value, 0.0), 1.0)
+    if v is not None:
+        # a mismatched estimator's error can exceed the channel energy
+        return max(value, 0.0)
+    return min(max(value, 0.0), trace_c / num_antennas)
 
 
 def _mmse_filter(
@@ -395,12 +398,10 @@ def _mmse_filter(
         raise ValueError(
             f"unknown estimator mode {estimator_mode!r}; expected one of {ESTIMATOR_MODES}"
         )
-    cross = _pilot_cross_cov(pilots, bs_cov, cfg)
-    model_cov = _received_cov(
-        pilots, jamming, bs_cov, jam_cov, cfg,
-        include_jamming=estimator_mode == "jammer-aware",
-    )
-    return solve_hpd(model_cov, cross.conj().T).conj().T
+    terms = _pilot_terms(pilots, bs_cov, cfg)
+    jam = None if jamming is None else _jamming_term(jamming.matrix, jam_cov, cfg)
+    w, _ = _estimator_solve(terms, jam, estimator_mode == "jammer-aware")
+    return w.conj().T / np.sqrt(pilots.length * cfg.bs_power)
 
 
 def mmse_estimate(
@@ -427,33 +428,6 @@ def mmse_estimate(
     return _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode) @ y
 
 
-def unaware_closed_form_mse(
-    pilots: PilotMatrix,
-    jamming: "JammingMatrix | None",
-    bs_cov: ChannelCovariance,
-    jam_cov: ChannelCovariance | None,
-    cfg: TrainingConfig,
-) -> float:
-    """Closed-form MSE of the jammer-unaware (mismatched) estimator.
-
-    The filter ignores the jamming statistics while the received signal still
-    contains them, so under strong jamming the value can exceed one (it is
-    the exact error of a suboptimal linear estimator, not an MMSE).
-    """
-    _check_dimensions(pilots, jamming, bs_cov, jam_cov, cfg)
-    a = _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, "jammer-unaware")
-    cross = _pilot_cross_cov(pilots, bs_cov, cfg)
-    true_cov = _received_cov(pilots, jamming, bs_cov, jam_cov, cfg, include_jamming=True)
-    t = a @ cross.conj().T
-    err_cov = bs_cov.matrix - t - t.conj().T + a @ true_cov @ a.conj().T
-    value = float(np.trace(err_cov).real) / bs_cov.size
-    if value < MSE_NEGATIVE_FLOOR:
-        raise ArithmeticError(
-            f"closed-form MSE {value:.3e} is negative beyond tolerance"
-        )
-    return max(value, 0.0)
-
-
 def scenario_closed_form_mse(
     pilots: PilotMatrix,
     jamming: "JammingMatrix | None",
@@ -462,16 +436,26 @@ def scenario_closed_form_mse(
     cfg: TrainingConfig,
     estimator_mode: str = "jammer-aware",
 ) -> float:
-    """Closed-form MSE for a pilot / jamming / estimator combination."""
-    if estimator_mode == "jammer-aware":
-        return closed_form_mse(
-            estimate_covariance(pilots, jamming, bs_cov, jam_cov, cfg), bs_cov
+    """Closed-form MSE for a pilot / jamming / estimator combination.
+
+    ``jammer-aware`` gives the MMSE, which lies in [0, 1] for unit-diagonal
+    covariances. ``jammer-unaware`` gives the exact error of the filter that
+    ignores the jamming statistics while the received signal still contains
+    them, so under strong jamming it can exceed one.
+
+    Raises ``ValueError`` for a non-positive BS power and
+    ``numpy.linalg.LinAlgError`` when the training-length system is singular,
+    which requires a zero noise variance together with a rank-deficient
+    pilot/covariance combination.
+    """
+    if estimator_mode not in ESTIMATOR_MODES:
+        raise ValueError(
+            f"unknown estimator mode {estimator_mode!r}; expected one of {ESTIMATOR_MODES}"
         )
-    if estimator_mode == "jammer-unaware":
-        return unaware_closed_form_mse(pilots, jamming, bs_cov, jam_cov, cfg)
-    raise ValueError(
-        f"unknown estimator mode {estimator_mode!r}; expected one of {ESTIMATOR_MODES}"
-    )
+    _check_dimensions(pilots, jamming, bs_cov, jam_cov, cfg)
+    terms = _pilot_terms(pilots, bs_cov, cfg)
+    jam = None if jamming is None else _jamming_term(jamming.matrix, jam_cov, cfg)
+    return _closed_form(terms, jam, estimator_mode == "jammer-aware")
 
 
 def empirical_mse(

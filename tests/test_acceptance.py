@@ -21,13 +21,13 @@ from fddjam.jammer import optimal_jamming, single_shot_jamming
 from fddjam.linalg import haar_orthonormal_columns
 from fddjam.training import (
     TrainingConfig,
-    closed_form_mse,
     empirical_mse,
-    estimate_covariance,
     optimal_pilots,
     random_unitary_pilots,
+    scenario_closed_form_mse,
     worst_case_pilots,
 )
+from oracles import estimate_covariance
 
 
 def report(criterion, ok, detail):
@@ -122,9 +122,7 @@ def test_criterion_5_monte_carlo_agreement():
     details = []
     ok = True
     for index, (name, jam) in enumerate(strategies.items()):
-        closed = closed_form_mse(
-            estimate_covariance(pilots, jam, bs_cov, jam_cov, cfg), bs_cov
-        )
+        closed = scenario_closed_form_mse(pilots, jam, bs_cov, jam_cov, cfg)
         coarse = empirical_mse(
             pilots, jam, bs_cov, jam_cov, cfg,
             trials=10_000, rng=np.random.default_rng(100 + index),
@@ -187,19 +185,15 @@ def test_criterion_7_pilot_optimality_suite():
                     bs_correlation=corr,
                 )
                 cov = exponential_covariance(n_bs, corr)
-                mse_opt = closed_form_mse(
-                    estimate_covariance(optimal_pilots(cov, length), None, cov, None, cfg),
-                    cov,
+                mse_opt = scenario_closed_form_mse(
+                    optimal_pilots(cov, length), None, cov, None, cfg
                 )
-                mse_wc = closed_form_mse(
-                    estimate_covariance(worst_case_pilots(cov, length), None, cov, None, cfg),
-                    cov,
+                mse_wc = scenario_closed_form_mse(
+                    worst_case_pilots(cov, length), None, cov, None, cfg
                 )
                 for _ in range(500):
                     pilots = random_unitary_pilots(n_bs, length, rng)
-                    value = closed_form_mse(
-                        estimate_covariance(pilots, None, cov, None, cfg), cov
-                    )
+                    value = scenario_closed_form_mse(pilots, None, cov, None, cfg)
                     worst_beat_optimal = max(worst_beat_optimal, mse_opt - value)
                     worst_beat_worst_case = max(worst_beat_worst_case, value - mse_wc)
                 checked += 500
@@ -240,7 +234,7 @@ def test_criterion_8_structural_invariants(tmp_path):
                 assert np.max(np.abs(est - est.conj().T)) <= 1e-10
                 assert float(np.linalg.eigvalsh(est).min()) >= -1e-9
                 assert float(np.linalg.eigvalsh(bs_cov.matrix - est).min()) >= -1e-9
-                mse = closed_form_mse(est, bs_cov)
+                mse = scenario_closed_form_mse(pilots, jam, bs_cov, jam_cov, cfg)
                 assert 0.0 <= mse <= 1.0
                 checks += 1
 

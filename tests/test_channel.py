@@ -26,6 +26,12 @@ class TestExponentialCovariance:
         assert np.array_equal(cov.matrix, np.ones((3, 3), dtype=complex))
         np.testing.assert_allclose(cov.evd.eigenvalues, [3.0, 0.0, 0.0], atol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_unit_coefficient_single_antenna_is_not_degenerate(self):
+        cov = exponential_covariance(1, 1.0)
+        assert not cov.degenerate
+        assert np.array_equal(cov.matrix, np.eye(1, dtype=complex))
+
     @pytest.mark.parametrize("bad", [-0.1, 1.2, np.nan])
     def test_rejects_out_of_range_coefficient(self, bad):
         with pytest.raises(ValueError, match="coefficient"):

@@ -54,6 +54,17 @@ class TestMseCommand:
         assert code == 2
         assert "antennas" in err
 
+    @pytest.mark.parametrize(
+        ("flags", "key"),
+        [(["--pb-db", "nan"], "bs_power_db"),
+         (["--pb-db", "0", "--pj-db", "3100", "--jamming", "single-shot"],
+          "jammer_power_db")],
+    )
+    def test_bad_power_exit_2_naming_key(self, capsys, flags, key):
+        code, _, err = run_cli(capsys, ["mse", "--M", "4", "--L", "2", "--r", "0", *flags])
+        assert code == 2
+        assert key in err
+
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:
             main(["mse", "--M", "4", "--L", "2", "--r", "0", "--pb-db", "0",
@@ -163,6 +174,24 @@ class TestVerifyLemmaCommand:
         assert "best random objective:" in out
         assert "random samples:          300" in out
         assert "MSE counterexample:" in out
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("seed", -1), ("num_random", -5), ("pilot_design", "fancy")],
+    )
+    def test_bad_value_exit_2_naming_key(self, capsys, tmp_path, key, value):
+        config = tmp_path / "lemma.json"
+        config.write_text(json.dumps({
+            "num_bs_antennas": 8,
+            "num_jammer_antennas": 4,
+            "pilot_length": 2,
+            "bs_power_db": 5.0,
+            "bs_correlation": 0.7,
+            key: value,
+        }))
+        code, _, err = run_cli(capsys, ["verify-lemma", "--config", str(config)])
+        assert code == 2
+        assert key in err
 
     def test_unknown_key_exit_2(self, capsys, tmp_path):
         config = tmp_path / "lemma.json"

@@ -14,12 +14,8 @@ from fddjam.jammer import (
 )
 from fddjam.linalg import haar_orthonormal_columns
 from fddjam.tolerances import DIAGONALITY_TOL
-from fddjam.training import (
-    TrainingConfig,
-    closed_form_mse,
-    estimate_covariance,
-    optimal_pilots,
-)
+from fddjam.training import TrainingConfig, optimal_pilots, scenario_closed_form_mse
+from oracles import full_dimension_mse
 
 
 def make_cfg(M, N, L, pb=5.0, pj=5.0, nv=1.0, r=0.7, rg=None):
@@ -188,10 +184,8 @@ class TestVerifyLemma:
         pilots = optimal_pilots(bs_cov, L)
         verdict = verify_lemma(bs_cov, jam_cov, pilots, cfg, 0, np.random.default_rng(0))
         jam = optimal_jamming(jam_cov, L)
-        est = estimate_covariance(pilots, jam, bs_cov, jam_cov, cfg)
-        assert verdict.optimal_mse == pytest.approx(
-            closed_form_mse(est, bs_cov), abs=1e-10
-        )
+        full = full_dimension_mse(pilots, jam, bs_cov, jam_cov, cfg, "jammer-aware")
+        assert verdict.optimal_mse == pytest.approx(full, abs=1e-10)
 
     def test_rejects_negative_samples(self):
         cfg = make_cfg(4, 2, 2)
@@ -214,14 +208,10 @@ class TestStrategyDominance:
         bs_cov = exponential_covariance(M, 0.7)
         jam_cov = exponential_covariance(n_jam, rg)
         pilots = optimal_pilots(bs_cov, length)
-        mse_eig = closed_form_mse(
-            estimate_covariance(pilots, optimal_jamming(jam_cov, length), bs_cov, jam_cov, cfg),
-            bs_cov,
+        mse_eig = scenario_closed_form_mse(
+            pilots, optimal_jamming(jam_cov, length), bs_cov, jam_cov, cfg
         )
-        mse_ss = closed_form_mse(
-            estimate_covariance(
-                pilots, single_shot_jamming(n_jam, length), bs_cov, jam_cov, cfg
-            ),
-            bs_cov,
+        mse_ss = scenario_closed_form_mse(
+            pilots, single_shot_jamming(n_jam, length), bs_cov, jam_cov, cfg
         )
         assert mse_eig >= mse_ss - 1e-12

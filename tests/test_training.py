@@ -2,25 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from fddjam.channel import exponential_covariance
+import fddjam.training
+from fddjam.channel import ChannelCovariance, exponential_covariance
 from fddjam.jammer import optimal_jamming, random_unitary_jamming, single_shot_jamming
 from fddjam.tolerances import ERROR_COV_PSD_FLOOR, HERMITIAN_ATOL
 from fddjam.training import (
+    ESTIMATOR_MODES,
     EstimationOutcome,
     PilotMatrix,
     TrainingConfig,
-    closed_form_mse,
     empirical_mse,
-    estimate_covariance,
     mmse_estimate,
     optimal_pilots,
     random_unitary_pilots,
     received_signal,
     scenario_closed_form_mse,
-    unaware_closed_form_mse,
     worst_case_pilots,
 )
+from oracles import estimate_covariance, full_dimension_mse
 
 
 def make_cfg(M=8, N=4, L=4, pb=5.0, pj=5.0, nv=1.0, r=0.7, rg=None):
@@ -66,6 +68,12 @@ class TestTrainingConfig:
             make_cfg(r=1.5)
         with pytest.raises(ValueError, match="num_bs_antennas"):
             make_cfg(M=0)
+        with pytest.raises(ValueError, match="bs_power_db"):
+            make_cfg(pb=float("nan"))
+        with pytest.raises(ValueError, match="jammer_power_db"):
+            make_cfg(pj=3100.0)
+        with pytest.raises(ValueError, match="jammer_power_db"):
+            make_cfg(pj=float("inf"))
 
 
 class TestPilotDesigns:
@@ -226,12 +234,13 @@ class TestEstimateCovariance:
         assert float(np.trace(est).real) == pytest.approx(gain * L, abs=1e-12)
 
     def test_vanishes_when_noise_dominates(self):
-        # powers pinned in linear units while the noise grows
+        # powers pinned in linear units while the noise grows; the estimate
+        # covariance trace is M * (1 - MSE)
         cfg = make_cfg(M=8, L=4, pb=-80.0, nv=1e8, r=0.7)
         assert cfg.bs_power == pytest.approx(1.0)
         cov = exponential_covariance(8, 0.7)
-        est = estimate_covariance(optimal_pilots(cov, 4), None, cov, None, cfg)
-        assert float(np.trace(est).real) <= 1e-6
+        mse = scenario_closed_form_mse(optimal_pilots(cov, 4), None, cov, None, cfg)
+        assert 8 * (1.0 - mse) <= 1e-6
 
     def test_matches_explicit_inverse_oracle(self):
         cfg = make_cfg(M=8, N=4, L=4, r=0.7)
@@ -240,6 +249,7 @@ class TestEstimateCovariance:
         pilots = optimal_pilots(cov, 4)
         jam = optimal_jamming(jcov, 4)
         est = estimate_covariance(pilots, jam, cov, jcov, cfg)
+        mse = scenario_closed_form_mse(pilots, jam, cov, jcov, cfg)
         # oracle path: same formula with an explicit matrix inverse
         phi, z = pilots.matrix, jam.matrix
         inner = (
@@ -248,7 +258,7 @@ class TestEstimateCovariance:
             + (cfg.noise_variance / (4 * cfg.bs_power)) * np.eye(4)
         )
         oracle = cov.matrix @ phi @ np.linalg.inv(inner) @ phi.conj().T @ cov.matrix
-        assert abs(np.trace(est - oracle).real) <= 1e-9
+        assert abs(8 * (1.0 - mse) - np.trace(oracle).real) <= 1e-9
         np.testing.assert_allclose(est, oracle, atol=1e-9)
 
     @pytest.mark.parametrize("jamming_kind", ["silent", "single-shot", "eigen-optimal"])
@@ -271,36 +281,47 @@ class TestEstimateCovariance:
         cfg = make_cfg(M=4, L=2, pb=float("-inf"))
         cov = exponential_covariance(4, 0.5)
         with pytest.raises(ValueError, match="positive"):
-            estimate_covariance(optimal_pilots(cov, 2), None, cov, None, cfg)
+            scenario_closed_form_mse(optimal_pilots(cov, 2), None, cov, None, cfg)
 
 
 class TestClosedFormMse:
     def test_zero_estimate_covariance(self):
+        # a vanishing BS power leaves the estimate at zero
+        cfg = make_cfg(M=4, L=2, pb=-400.0)
         cov = exponential_covariance(4, 0.7)
-        assert closed_form_mse(np.zeros((4, 4)), cov) == pytest.approx(1.0)
+        mse = scenario_closed_form_mse(optimal_pilots(cov, 2), None, cov, None, cfg)
+        assert mse == pytest.approx(1.0)
 
     def test_perfect_estimate(self):
+        # noiseless full-length training recovers the channel exactly
+        cfg = make_cfg(M=4, L=4, pb=0.0, nv=0.0)
         cov = exponential_covariance(4, 0.7)
-        assert closed_form_mse(cov.matrix, cov) == pytest.approx(0.0, abs=1e-15)
+        mse = scenario_closed_form_mse(optimal_pilots(cov, 4), None, cov, None, cfg)
+        assert mse == pytest.approx(0.0, abs=1e-15)
 
     def test_identity_covariance_analytic_value(self):
         cfg = make_cfg(M=4, L=2, pb=0.0, nv=1.0, r=0.0)
         cov = exponential_covariance(4, 0.0)
-        est = estimate_covariance(optimal_pilots(cov, 2), None, cov, None, cfg)
-        assert closed_form_mse(est, cov) == pytest.approx(2.0 / 3.0, abs=1e-12)
+        mse = scenario_closed_form_mse(optimal_pilots(cov, 2), None, cov, None, cfg)
+        assert mse == pytest.approx(2.0 / 3.0, abs=1e-12)
 
-    def test_rejects_inconsistent_negative(self):
+    def test_rejects_inconsistent_negative(self, monkeypatch):
+        # a solver result inflated beyond the channel energy is caught
+        cfg = make_cfg(M=4, L=2, r=0.0)
         cov = exponential_covariance(4, 0.0)
+        solve = fddjam.training.solve_hpd
+        monkeypatch.setattr(fddjam.training, "solve_hpd", lambda a, b: 1e6 * solve(a, b))
         with pytest.raises(ArithmeticError):
-            closed_form_mse(np.eye(4) * (1 + 1e-6), cov)
+            scenario_closed_form_mse(optimal_pilots(cov, 2), None, cov, None, cfg)
 
     def test_monotone_in_pilot_length(self):
         cov = exponential_covariance(12, 0.7)
         values = []
         for L in range(1, 13):
             cfg = make_cfg(M=12, N=12, L=L)
-            est = estimate_covariance(optimal_pilots(cov, L), None, cov, None, cfg)
-            values.append(closed_form_mse(est, cov))
+            values.append(
+                scenario_closed_form_mse(optimal_pilots(cov, L), None, cov, None, cfg)
+            )
         assert np.all(np.diff(values) <= 1e-12)
 
     def test_jamming_never_helps(self):
@@ -314,6 +335,53 @@ class TestClosedFormMse:
             jam = random_unitary_jamming(8, 4, rng)
             jammed = scenario_closed_form_mse(pilots, jam, cov, jcov, cfg)
             assert jammed >= silent - 1e-12
+
+
+def random_covariance(size, rng, general):
+    """Exponential covariance, or a general PSD one of random rank and scale."""
+    if not general:
+        return exponential_covariance(size, float(rng.uniform(0.0, 0.99)))
+    rank = int(rng.integers(1, size + 1))
+    a = rng.standard_normal((size, rank)) + 1j * rng.standard_normal((size, rank))
+    c = float(rng.uniform(0.1, 3.0)) * (a @ a.conj().T) / rank
+    return ChannelCovariance.from_matrix(0.5 * (c + c.conj().T), unit_diagonal=False)
+
+
+class TestOracleAgreement:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        m=st.integers(1, 12),
+        n=st.integers(1, 12),
+        data=st.data(),
+        pb=st.floats(-10.0, 20.0),
+        pj=st.floats(-10.0, 20.0),
+        nv=st.floats(0.1, 10.0),
+        general=st.booleans(),
+        pilot=st.sampled_from(["random-unitary", "worst-case"]),
+        jamming=st.sampled_from(["silent", "single-shot", "random-unitary"]),
+        mode=st.sampled_from(ESTIMATOR_MODES),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_full_dimension_oracle(
+        self, m, n, data, pb, pj, nv, general, pilot, jamming, mode, seed
+    ):
+        length = data.draw(st.integers(1, min(m, n)), label="length")
+        rng = np.random.default_rng(seed)
+        cfg = make_cfg(M=m, N=n, L=length, pb=pb, pj=pj, nv=nv)
+        cov = random_covariance(m, rng, general)
+        jcov = random_covariance(n, rng, general)
+        pilots = (
+            random_unitary_pilots(m, length, rng) if pilot == "random-unitary"
+            else worst_case_pilots(cov, length)
+        )
+        jam = {
+            "silent": None,
+            "single-shot": single_shot_jamming(n, length),
+            "random-unitary": random_unitary_jamming(n, length, rng),
+        }[jamming]
+        closed = scenario_closed_form_mse(pilots, jam, cov, jcov, cfg, mode)
+        oracle = full_dimension_mse(pilots, jam, cov, jcov, cfg, mode)
+        assert abs(closed - oracle) <= 1e-10
 
 
 class TestMmseEstimate:
@@ -367,7 +435,7 @@ class TestUnawareClosedForm:
         cov = exponential_covariance(8, 0.7)
         pilots = optimal_pilots(cov, 4)
         aware = scenario_closed_form_mse(pilots, None, cov, None, cfg, "jammer-aware")
-        unaware = unaware_closed_form_mse(pilots, None, cov, None, cfg)
+        unaware = scenario_closed_form_mse(pilots, None, cov, None, cfg, "jammer-unaware")
         assert unaware == pytest.approx(aware, abs=1e-12)
 
     def test_mismatch_cannot_beat_mmse(self):
@@ -386,7 +454,7 @@ class TestUnawareClosedForm:
         jcov = exponential_covariance(4, 0.7)
         pilots = optimal_pilots(cov, 4)
         jam = optimal_jamming(jcov, 4)
-        closed = unaware_closed_form_mse(pilots, jam, cov, jcov, cfg)
+        closed = scenario_closed_form_mse(pilots, jam, cov, jcov, cfg, "jammer-unaware")
         mc = empirical_mse(
             pilots, jam, cov, jcov, cfg,
             trials=50_000, rng=np.random.default_rng(12),
