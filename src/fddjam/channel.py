@@ -1,4 +1,4 @@
-"""Spatial-correlation covariances and correlated channel realizations.
+"""Spatial-correlation covariances of the channels, with their cached EVD.
 
 Covers both links seen by the user terminal: base station to user and
 jammer to user. Both use the same exponential correlation family, with
@@ -13,10 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import toeplitz
 
-from .linalg import HermitianEvd, as_complex_matrix, hermitian_evd, sample_complex_gaussian
+from .linalg import HermitianEvd, as_complex_matrix, hermitian_evd
 from .tolerances import PSD_EIG_FLOOR, UNIT_DIAGONAL_ATOL
 
-__all__ = ["ChannelCovariance", "exponential_covariance", "sample_channel"]
+__all__ = ["ChannelCovariance", "exponential_covariance"]
 
 
 @dataclass(frozen=True)
@@ -25,24 +25,13 @@ class ChannelCovariance:
 
     The diagonal is normalized to one (path loss and shadow fading are folded
     into the transmit powers), so the trace equals the antenna count.
-    ``degenerate`` flags the rank-one all-ones matrix produced by a
-    correlation coefficient of exactly one.
     """
 
     matrix: np.ndarray
     evd: HermitianEvd
-    coefficient: float | None = None
-    degenerate: bool = False
 
     @classmethod
-    def from_matrix(
-        cls,
-        matrix,
-        *,
-        coefficient: float | None = None,
-        degenerate: bool = False,
-        unit_diagonal: bool = True,
-    ) -> "ChannelCovariance":
+    def from_matrix(cls, matrix, *, unit_diagonal: bool = True) -> "ChannelCovariance":
         """Validate a plain covariance matrix and wrap it with its EVD.
 
         ``unit_diagonal=False`` skips the unit path-loss check, for general
@@ -65,7 +54,7 @@ class ChannelCovariance:
                 )
         m = m.copy()
         m.setflags(write=False)
-        return cls(matrix=m, evd=evd, coefficient=coefficient, degenerate=degenerate)
+        return cls(matrix=m, evd=evd)
 
     @property
     def size(self) -> int:
@@ -77,33 +66,21 @@ def exponential_covariance(size: int, coefficient: float) -> ChannelCovariance:
 
     ``coefficient = 0`` gives uncorrelated antennas (identity); values close
     to one concentrate the spectrum in a few eigenmodes. Exactly one yields
-    the rank-one all-ones matrix, accepted but flagged degenerate with a
-    ``RuntimeWarning`` (downstream estimation still works because the noise
-    term regularizes every inversion); for ``size = 1`` that matrix is the
-    full-rank 1x1 identity and is not flagged.
+    the rank-one all-ones matrix, accepted with a ``RuntimeWarning``
+    (downstream estimation still works because the noise term regularizes
+    every inversion); for ``size = 1`` that matrix is the full-rank 1x1
+    identity and does not warn.
     """
     if int(size) != size or size < 1:
         raise ValueError(f"size must be a positive integer, got {size!r}")
     c = float(coefficient)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"correlation coefficient must lie in [0, 1], got {c}")
-    degenerate = c == 1.0 and size > 1
-    if degenerate:
+    if c == 1.0 and size > 1:
         warnings.warn(
             "correlation coefficient 1 gives a rank-one (singular) covariance",
             RuntimeWarning,
             stacklevel=2,
         )
     matrix = toeplitz(c ** np.arange(int(size))).astype(np.complex128)
-    return ChannelCovariance.from_matrix(matrix, coefficient=c, degenerate=degenerate)
-
-
-def sample_channel(
-    cov: ChannelCovariance, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
-    """Draw channel realizations with the given spatial covariance.
-
-    Returns ``(n,)`` for ``size=None``, else ``(n, size)`` with one
-    realization per column.
-    """
-    return sample_complex_gaussian(cov.evd, rng, size=size)
+    return ChannelCovariance.from_matrix(matrix)

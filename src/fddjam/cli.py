@@ -84,9 +84,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_mse.add_argument("--rg", type=float, default=None,
                        help="jammer channel correlation (default: same as --r)")
     p_mse.add_argument("--pb-db", type=float, required=True,
-                       help="BS power in dB relative to the noise variance")
+                       help="BS power in dB relative to the noise variance; join a "
+                            "value such as -inf or -1e1 with '=': --pb-db=-1e1")
     p_mse.add_argument("--pj-db", type=float, default=None,
-                       help="jammer power in dB (default: same as --pb-db)")
+                       help="jammer power in dB (default: same as --pb-db); "
+                            "zero power is --pj-db=-inf, joined with '='")
     p_mse.add_argument("--pilot", choices=PILOT_DESIGNS, default="optimal")
     p_mse.add_argument("--jamming", choices=JAMMING_CHOICES, default="silent")
     p_mse.add_argument("--estimator", choices=ESTIMATOR_MODES, default="jammer-aware")
@@ -185,6 +187,8 @@ def _cmd_mse(args) -> int:
     )
     if args.trials < 0:
         raise ConfigError(f"--trials must be non-negative, got {args.trials}")
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
     bs_cov = exponential_covariance(cfg.num_bs_antennas, cfg.bs_correlation)
     jam_cov = exponential_covariance(cfg.num_jammer_antennas, cfg.jammer_correlation)
     rng = np.random.default_rng(np.random.SeedSequence(args.seed))

@@ -22,12 +22,12 @@ import numpy as np
 
 from ._version import __version__
 from .channel import ChannelCovariance, exponential_covariance
-from .jammer import JammingMatrix, optimal_jamming, single_shot_jamming
+from .jammer import optimal_jamming, single_shot_jamming
 from .training import (
     ESTIMATOR_MODES,
     PILOT_DESIGNS,
-    PilotMatrix,
     TrainingConfig,
+    UnitaryBlock,
     empirical_mse,
     optimal_pilots,
     random_unitary_pilots,
@@ -209,7 +209,7 @@ def _point_rng(seed: int, point_index: int) -> np.random.Generator:
 
 def _build_pilots(
     design: str, bs_cov: ChannelCovariance, pilot_length: int, rng: np.random.Generator
-) -> PilotMatrix:
+) -> UnitaryBlock:
     if design == "optimal":
         return optimal_pilots(bs_cov, pilot_length)
     if design == "worst-case":
@@ -219,7 +219,7 @@ def _build_pilots(
 
 def _build_jamming(
     strategy: str, jam_cov: ChannelCovariance, cfg: TrainingConfig
-) -> JammingMatrix | None:
+) -> UnitaryBlock | None:
     if strategy == "silent":
         return None
     if strategy == "single-shot":

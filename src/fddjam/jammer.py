@@ -16,76 +16,28 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelCovariance
-from .linalg import as_complex_matrix, haar_orthonormal_columns, require_orthonormal_columns
-
-# Not called here: the solves run in the training module. The name stays so
-# the benchmark's trace target ``fddjam.jammer.solve_hpd`` still resolves.
-from .linalg import solve_hpd  # noqa: F401
+from .linalg import haar_orthonormal_columns
 from .tolerances import KY_FAN_SLACK
 from .training import (
-    PilotMatrix,
     TrainingConfig,
+    UnitaryBlock,
+    _check_block_length,
+    _check_dimensions,
     _closed_form,
     _jamming_term,
     _pilot_terms,
 )
 
 __all__ = [
-    "JAMMING_STRATEGIES",
-    "JammingMatrix",
     "LemmaVerdict",
     "jamming_objective",
     "optimal_jamming",
-    "random_unitary_jamming",
     "single_shot_jamming",
     "verify_lemma",
 ]
 
-JAMMING_STRATEGIES = ("single-shot", "eigen-optimal", "random-unitary")
 
-
-@dataclass(frozen=True)
-class JammingMatrix:
-    """Unitary-column jamming block sent during the training phase.
-
-    ``matrix`` has shape (num_jammer_antennas, pilot_length) with orthonormal
-    columns; ``strategy`` records how it was constructed.
-    """
-
-    matrix: np.ndarray
-    strategy: str
-
-    def __post_init__(self) -> None:
-        if self.strategy not in JAMMING_STRATEGIES:
-            raise ValueError(
-                f"unknown jamming strategy {self.strategy!r}; "
-                f"expected one of {JAMMING_STRATEGIES}"
-            )
-        m = as_complex_matrix(self.matrix, name="jamming matrix").copy()
-        require_orthonormal_columns(m, name="jamming matrix")
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def num_antennas(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def length(self) -> int:
-        return self.matrix.shape[1]
-
-
-def _check_block_shape(pilot_length: int, num_antennas: int) -> None:
-    if int(pilot_length) != pilot_length or pilot_length < 1:
-        raise ValueError(f"pilot_length must be a positive integer, got {pilot_length!r}")
-    if pilot_length > num_antennas:
-        raise ValueError(
-            f"jamming a block of {pilot_length} symbols needs at least "
-            f"{pilot_length} jammer antennas, have {num_antennas}"
-        )
-
-
-def optimal_jamming(jam_cov: ChannelCovariance, pilot_length: int) -> JammingMatrix:
+def optimal_jamming(jam_cov: ChannelCovariance, pilot_length: int) -> UnitaryBlock:
     """Jamming aligned with the strongest eigenvectors of the jammer channel.
 
     Maximizes ``trace(Z^H C Z)`` over all blocks with orthonormal columns;
@@ -93,38 +45,22 @@ def optimal_jamming(jam_cov: ChannelCovariance, pilot_length: int) -> JammingMat
     eigenvalues. The strategy only needs the jammer's own channel covariance
     and the training length.
     """
-    _check_block_shape(pilot_length, jam_cov.size)
-    return JammingMatrix(
-        jam_cov.evd.eigenvectors[:, :pilot_length], strategy="eigen-optimal"
-    )
+    _check_block_length(pilot_length, jam_cov.size)
+    return UnitaryBlock(jam_cov.evd.eigenvectors[:, :pilot_length])
 
 
-def single_shot_jamming(num_antennas: int, pilot_length: int) -> JammingMatrix:
+def single_shot_jamming(num_antennas: int, pilot_length: int) -> UnitaryBlock:
     """Statistics-agnostic baseline: one antenna active per training symbol.
 
     Uses the canonical antenna order (first ``pilot_length`` identity
     columns); the antenna permutation is irrelevant for unit-diagonal
     covariances, where every choice yields the same received power.
     """
-    _check_block_shape(pilot_length, num_antennas)
-    return JammingMatrix(
-        np.eye(int(num_antennas), int(pilot_length), dtype=np.complex128),
-        strategy="single-shot",
-    )
+    _check_block_length(pilot_length, num_antennas)
+    return UnitaryBlock(np.eye(int(num_antennas), int(pilot_length), dtype=np.complex128))
 
 
-def random_unitary_jamming(
-    num_antennas: int, pilot_length: int, rng: np.random.Generator
-) -> JammingMatrix:
-    """Haar-random orthonormal jamming block (used for oracle sampling)."""
-    _check_block_shape(pilot_length, num_antennas)
-    return JammingMatrix(
-        haar_orthonormal_columns(int(num_antennas), int(pilot_length), rng),
-        strategy="random-unitary",
-    )
-
-
-def jamming_objective(jamming: JammingMatrix, jam_cov: ChannelCovariance) -> float:
+def jamming_objective(jamming: UnitaryBlock, jam_cov: ChannelCovariance) -> float:
     """Received jamming power proxy ``trace(Z^H C Z)``.
 
     Bounded between the sums of the bottom and top ``pilot_length``
@@ -161,7 +97,7 @@ class LemmaVerdict:
 def verify_lemma(
     bs_cov: ChannelCovariance,
     jam_cov: ChannelCovariance,
-    pilots: PilotMatrix,
+    pilots: UnitaryBlock,
     cfg: TrainingConfig,
     num_random: int,
     rng: np.random.Generator,
@@ -183,23 +119,10 @@ def verify_lemma(
     """
     if int(num_random) != num_random or num_random < 0:
         raise ValueError(f"num_random must be a non-negative integer, got {num_random!r}")
-    if pilots.num_antennas != bs_cov.size or pilots.num_antennas != cfg.num_bs_antennas:
-        raise ValueError(
-            f"pilot matrix shape {pilots.matrix.shape} does not match the BS "
-            f"covariance ({bs_cov.size}) or config ({cfg.num_bs_antennas})"
-        )
-    if pilots.length != cfg.pilot_length:
-        raise ValueError(
-            f"pilot length {pilots.length} does not match config {cfg.pilot_length}"
-        )
-    if jam_cov.size != cfg.num_jammer_antennas:
-        raise ValueError(
-            f"jammer covariance size {jam_cov.size} does not match config "
-            f"{cfg.num_jammer_antennas}"
-        )
     length = pilots.length
-    terms = _pilot_terms(pilots, bs_cov, cfg)
     z_opt = optimal_jamming(jam_cov, length)
+    _check_dimensions(pilots, z_opt, bs_cov, jam_cov, cfg)
+    terms = _pilot_terms(pilots, bs_cov, cfg)
     optimal_objective = jamming_objective(z_opt, jam_cov)
     optimal_mse = _closed_form(
         terms, _jamming_term(z_opt.matrix, jam_cov, cfg), jammer_aware=True

@@ -16,7 +16,6 @@ from .tolerances import HERMITIAN_ATOL, ORTHONORMAL_TOL, PSD_EIG_FLOOR
 __all__ = [
     "HermitianEvd",
     "as_complex_matrix",
-    "as_complex_vector",
     "haar_orthonormal_columns",
     "hermitian_evd",
     "require_orthonormal_columns",
@@ -30,18 +29,6 @@ def as_complex_matrix(a, *, name: str = "matrix") -> np.ndarray:
     arr = np.asarray(a, dtype=np.complex128)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name} contains non-finite entries")
-    return arr
-
-
-def as_complex_vector(v, *, name: str = "vector") -> np.ndarray:
-    """Coerce ``v`` to a 1-d complex128 array; (n, 1) columns are flattened."""
-    arr = np.asarray(v, dtype=np.complex128)
-    if arr.ndim == 2 and arr.shape[1] == 1:
-        arr = arr[:, 0]
-    if arr.ndim != 1:
-        raise ValueError(f"{name} must be one-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr

@@ -1,17 +1,10 @@
-"""Numerical tolerances used by the library's public contracts.
-
-Centralized so the library, its tests and downstream callers agree on one
-set of numbers.
-"""
+"""Numerical tolerances of the library's checks, in one place."""
 
 # Largest accepted deviation from exact Hermitian symmetry, max |A - A^H| entry.
 HERMITIAN_ATOL = 1e-10
 
 # Frobenius tolerance for orthonormal column frames (U^H U = I).
 ORTHONORMAL_TOL = 1e-10
-
-# Relative Frobenius tolerance for rebuilding a matrix from its eigenpairs.
-EVD_RECONSTRUCTION_RTOL = 1e-9
 
 # Covariance eigenvalues below this floor are a PSD violation; values in
 # [PSD_EIG_FLOOR, 0] are round-off and get clamped to zero before sampling.
@@ -20,18 +13,9 @@ PSD_EIG_FLOOR = -1e-12
 # Channel covariances carry unit path loss: diagonal entries must equal one.
 UNIT_DIAGONAL_ATOL = 1e-12
 
-# Relative residual guaranteed by the positive-definite solver.
-HPD_RESIDUAL_RTOL = 1e-10
-
 # A closed-form MSE below this is an internal-consistency failure: the value
 # is a trace of a PSD difference, so it can only go negative via round-off.
 MSE_NEGATIVE_FLOOR = -1e-9
 
-# Smallest admissible eigenvalue of the estimation-error covariance.
-ERROR_COV_PSD_FLOOR = -1e-9
-
 # Slack for the top-eigenvalue trace bound and MSE-counterexample detection.
 KY_FAN_SLACK = 1e-9
-
-# Off-diagonal Frobenius mass allowed where a congruence should be diagonal.
-DIAGONALITY_TOL = 1e-9

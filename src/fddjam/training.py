@@ -1,4 +1,4 @@
-"""Downlink training: pilot design, received signal, MMSE estimation, MSE.
+"""Downlink training: pilot design, MMSE estimation and its MSE.
 
 The user terminal receives, over a block of ``L`` training symbols,
 
@@ -15,14 +15,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .channel import ChannelCovariance
 from .linalg import (
     as_complex_matrix,
-    as_complex_vector,
     haar_orthonormal_columns,
     require_orthonormal_columns,
     sample_complex_gaussian,
@@ -30,21 +28,15 @@ from .linalg import (
 )
 from .tolerances import MSE_NEGATIVE_FLOOR
 
-if TYPE_CHECKING:
-    from .jammer import JammingMatrix
-
 __all__ = [
     "ESTIMATOR_MODES",
     "PILOT_DESIGNS",
-    "EstimationOutcome",
     "MonteCarloMse",
-    "PilotMatrix",
     "TrainingConfig",
+    "UnitaryBlock",
     "empirical_mse",
-    "mmse_estimate",
     "optimal_pilots",
     "random_unitary_pilots",
-    "received_signal",
     "scenario_closed_form_mse",
     "worst_case_pilots",
 ]
@@ -55,25 +47,24 @@ PILOT_DESIGNS = ("optimal", "worst-case", "random-unitary")
 # builds the estimator without the jamming statistics (model mismatch).
 ESTIMATOR_MODES = ("jammer-aware", "jammer-unaware")
 
+# Monte-Carlo trials per spawned stream; changing it changes every MC result.
+_MC_CHUNK = 4096
+
 
 @dataclass(frozen=True)
-class PilotMatrix:
-    """Unitary-column pilot block transmitted by the base station.
+class UnitaryBlock:
+    """Unitary-column block sent over the training symbols.
 
-    ``matrix`` has shape (num_bs_antennas, pilot_length) with orthonormal
-    columns; ``design`` records how it was constructed.
+    Both the base station's pilots and the jammer's block use this type.
+    ``matrix`` has shape (antennas, pilot_length) with orthonormal columns
+    and is stored read-only.
     """
 
     matrix: np.ndarray
-    design: str
 
     def __post_init__(self) -> None:
-        if self.design not in PILOT_DESIGNS:
-            raise ValueError(
-                f"unknown pilot design {self.design!r}; expected one of {PILOT_DESIGNS}"
-            )
-        m = as_complex_matrix(self.matrix, name="pilot matrix").copy()
-        require_orthonormal_columns(m, name="pilot matrix")
+        m = as_complex_matrix(self.matrix, name="block").copy()
+        require_orthonormal_columns(m, name="block")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
 
@@ -160,28 +151,6 @@ def _db_to_linear(power_db: float, noise_variance: float) -> float:
 
 
 @dataclass(frozen=True)
-class EstimationOutcome:
-    """Channel estimate, error vector and squared error norm for one trial."""
-
-    estimate: np.ndarray
-    error: np.ndarray
-    squared_error: float
-
-    @classmethod
-    def from_truth(cls, channel, estimate) -> "EstimationOutcome":
-        h = as_complex_vector(channel, name="channel")
-        est = as_complex_vector(estimate, name="estimate")
-        if h.shape != est.shape:
-            raise ValueError(f"shape mismatch: channel {h.shape}, estimate {est.shape}")
-        error = h - est
-        return cls(
-            estimate=est,
-            error=error,
-            squared_error=float(np.vdot(error, error).real),
-        )
-
-
-@dataclass(frozen=True)
 class MonteCarloMse:
     """Sample mean of the per-antenna squared error and its standard error.
 
@@ -193,45 +162,44 @@ class MonteCarloMse:
     trials: int
 
 
-def _check_pilot_length(pilot_length: int, num_antennas: int) -> None:
+def _check_block_length(pilot_length: int, num_antennas: int) -> None:
+    """A block spans at most one symbol per antenna of the transmitter."""
     if int(pilot_length) != pilot_length or not 1 <= pilot_length <= num_antennas:
         raise ValueError(
-            f"pilot_length must lie in [1, {num_antennas}], got {pilot_length!r}"
+            f"pilot_length must be an integer from 1 to the {num_antennas} "
+            f"antennas of the transmitter, got {pilot_length!r}"
         )
 
 
-def optimal_pilots(bs_cov: ChannelCovariance, pilot_length: int) -> PilotMatrix:
+def optimal_pilots(bs_cov: ChannelCovariance, pilot_length: int) -> UnitaryBlock:
     """Pilots spanning the strongest eigenvectors of the BS channel covariance.
 
     This is the MSE-minimizing unitary pilot design in the absence of a
     jammer: the columns are the first ``pilot_length`` eigenvectors in
     descending-eigenvalue order (deterministic tie-break).
     """
-    _check_pilot_length(pilot_length, bs_cov.size)
-    return PilotMatrix(bs_cov.evd.eigenvectors[:, :pilot_length], design="optimal")
+    _check_block_length(pilot_length, bs_cov.size)
+    return UnitaryBlock(bs_cov.evd.eigenvectors[:, :pilot_length])
 
 
-def worst_case_pilots(bs_cov: ChannelCovariance, pilot_length: int) -> PilotMatrix:
+def worst_case_pilots(bs_cov: ChannelCovariance, pilot_length: int) -> UnitaryBlock:
     """Pilots spanning the weakest eigenvectors: the MSE-maximizing benchmark."""
-    _check_pilot_length(pilot_length, bs_cov.size)
+    _check_block_length(pilot_length, bs_cov.size)
     start = bs_cov.size - pilot_length
-    return PilotMatrix(bs_cov.evd.eigenvectors[:, start:], design="worst-case")
+    return UnitaryBlock(bs_cov.evd.eigenvectors[:, start:])
 
 
 def random_unitary_pilots(
     num_antennas: int, pilot_length: int, rng: np.random.Generator
-) -> PilotMatrix:
+) -> UnitaryBlock:
     """Haar-random orthonormal pilot columns (baseline design)."""
-    _check_pilot_length(pilot_length, num_antennas)
-    return PilotMatrix(
-        haar_orthonormal_columns(num_antennas, pilot_length, rng),
-        design="random-unitary",
-    )
+    _check_block_length(pilot_length, num_antennas)
+    return UnitaryBlock(haar_orthonormal_columns(num_antennas, pilot_length, rng))
 
 
 def _check_dimensions(
-    pilots: PilotMatrix,
-    jamming: "JammingMatrix | None",
+    pilots: UnitaryBlock,
+    jamming: UnitaryBlock | None,
     bs_cov: ChannelCovariance,
     jam_cov: ChannelCovariance | None,
     cfg: TrainingConfig,
@@ -266,54 +234,7 @@ def _check_dimensions(
             )
 
 
-def received_signal(
-    pilots: PilotMatrix,
-    jamming: "JammingMatrix | None",
-    channel,
-    jam_channel,
-    cfg: TrainingConfig,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Synthesize one received training block at the user terminal.
-
-    Returns the length-``pilot_length`` vector described in the module
-    docstring. The jamming term is omitted when ``jamming`` is None
-    (``jam_channel`` may then also be None). Noise is always drawn from
-    ``rng`` and scaled by ``sqrt(noise_variance)``, so a zero noise variance
-    yields the exact noiseless signal while keeping stream usage uniform.
-    """
-    h = as_complex_vector(channel, name="channel")
-    if h.size != pilots.num_antennas:
-        raise ValueError(
-            f"channel length {h.size} does not match {pilots.num_antennas} BS antennas"
-        )
-    if pilots.num_antennas != cfg.num_bs_antennas or pilots.length != cfg.pilot_length:
-        raise ValueError(
-            f"pilot matrix shape {pilots.matrix.shape} does not match config "
-            f"({cfg.num_bs_antennas} antennas, {cfg.pilot_length} symbols)"
-        )
-    length = pilots.length
-    y = np.sqrt(length * cfg.bs_power) * (pilots.matrix.conj().T @ h)
-    if jamming is not None:
-        g = as_complex_vector(jam_channel, name="jammer channel")
-        if jamming.length != length:
-            raise ValueError(
-                f"jamming block length {jamming.length} does not match "
-                f"pilot length {length}"
-            )
-        if g.size != jamming.num_antennas or jamming.num_antennas != cfg.num_jammer_antennas:
-            raise ValueError(
-                f"jammer channel length {g.size} does not match "
-                f"{cfg.num_jammer_antennas} jammer antennas"
-            )
-        y = y + np.sqrt(length * cfg.jammer_power) * (jamming.matrix.conj().T @ g)
-    noise = np.sqrt(cfg.noise_variance * 0.5) * (
-        rng.standard_normal(length) + 1j * rng.standard_normal(length)
-    )
-    return y + noise
-
-
-def _pilot_terms(pilots: PilotMatrix, bs_cov: ChannelCovariance, cfg: TrainingConfig):
+def _pilot_terms(pilots: UnitaryBlock, bs_cov: ChannelCovariance, cfg: TrainingConfig):
     """Pilot-side terms of the received-block model: ``(CP, K, tr C)``.
 
     Scaled by ``1 / (L * bs_power)``, the received block has covariance
@@ -385,52 +306,46 @@ def _closed_form(terms, jam: np.ndarray | None, jammer_aware: bool) -> float:
     return min(max(value, 0.0), trace_c / num_antennas)
 
 
+def _scenario_terms(
+    pilots: UnitaryBlock,
+    jamming: UnitaryBlock | None,
+    bs_cov: ChannelCovariance,
+    jam_cov: ChannelCovariance | None,
+    cfg: TrainingConfig,
+    estimator_mode: str,
+):
+    """Checked estimator inputs: ``(pilot terms, J or None, jammer_aware)``."""
+    if estimator_mode not in ESTIMATOR_MODES:
+        raise ValueError(
+            f"unknown estimator mode {estimator_mode!r}; expected one of {ESTIMATOR_MODES}"
+        )
+    _check_dimensions(pilots, jamming, bs_cov, jam_cov, cfg)
+    terms = _pilot_terms(pilots, bs_cov, cfg)
+    jam = None if jamming is None else _jamming_term(jamming.matrix, jam_cov, cfg)
+    return terms, jam, estimator_mode == "jammer-aware"
+
+
 def _mmse_filter(
-    pilots: PilotMatrix,
-    jamming: "JammingMatrix | None",
+    pilots: UnitaryBlock,
+    jamming: UnitaryBlock | None,
     bs_cov: ChannelCovariance,
     jam_cov: ChannelCovariance | None,
     cfg: TrainingConfig,
     estimator_mode: str,
 ) -> np.ndarray:
-    """Linear estimator matrix ``A`` such that the estimate is ``A @ received``."""
-    if estimator_mode not in ESTIMATOR_MODES:
-        raise ValueError(
-            f"unknown estimator mode {estimator_mode!r}; expected one of {ESTIMATOR_MODES}"
-        )
-    terms = _pilot_terms(pilots, bs_cov, cfg)
-    jam = None if jamming is None else _jamming_term(jamming.matrix, jam_cov, cfg)
-    w, _ = _estimator_solve(terms, jam, estimator_mode == "jammer-aware")
+    """Linear estimator matrix ``A`` such that the estimate is ``A @ received``.
+
+    In ``jammer-unaware`` mode the filter is built without the jamming
+    statistics even when a jammer is present in the signal (model mismatch).
+    """
+    checked = _scenario_terms(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
+    w, _ = _estimator_solve(*checked)
     return w.conj().T / np.sqrt(pilots.length * cfg.bs_power)
 
 
-def mmse_estimate(
-    received,
-    pilots: PilotMatrix,
-    jamming: "JammingMatrix | None",
-    bs_cov: ChannelCovariance,
-    jam_cov: ChannelCovariance | None,
-    cfg: TrainingConfig,
-    estimator_mode: str = "jammer-aware",
-) -> np.ndarray:
-    """MMSE estimate of the BS channel from one received training block.
-
-    In ``jammer-unaware`` mode the filter is built without the jamming
-    statistics even when a jammer is present in the signal (model mismatch);
-    ``jammer-aware`` is the mode matching the closed-form error statistics.
-    """
-    _check_dimensions(pilots, jamming, bs_cov, jam_cov, cfg)
-    y = as_complex_vector(received, name="received")
-    if y.size != pilots.length:
-        raise ValueError(
-            f"received block length {y.size} does not match pilot length {pilots.length}"
-        )
-    return _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode) @ y
-
-
 def scenario_closed_form_mse(
-    pilots: PilotMatrix,
-    jamming: "JammingMatrix | None",
+    pilots: UnitaryBlock,
+    jamming: UnitaryBlock | None,
     bs_cov: ChannelCovariance,
     jam_cov: ChannelCovariance | None,
     cfg: TrainingConfig,
@@ -448,19 +363,13 @@ def scenario_closed_form_mse(
     which requires a zero noise variance together with a rank-deficient
     pilot/covariance combination.
     """
-    if estimator_mode not in ESTIMATOR_MODES:
-        raise ValueError(
-            f"unknown estimator mode {estimator_mode!r}; expected one of {ESTIMATOR_MODES}"
-        )
-    _check_dimensions(pilots, jamming, bs_cov, jam_cov, cfg)
-    terms = _pilot_terms(pilots, bs_cov, cfg)
-    jam = None if jamming is None else _jamming_term(jamming.matrix, jam_cov, cfg)
-    return _closed_form(terms, jam, estimator_mode == "jammer-aware")
+    checked = _scenario_terms(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
+    return _closed_form(*checked)
 
 
 def empirical_mse(
-    pilots: PilotMatrix,
-    jamming: "JammingMatrix | None",
+    pilots: UnitaryBlock,
+    jamming: UnitaryBlock | None,
     bs_cov: ChannelCovariance,
     jam_cov: ChannelCovariance | None,
     cfg: TrainingConfig,
@@ -468,20 +377,18 @@ def empirical_mse(
     trials: int,
     rng: np.random.Generator,
     estimator_mode: str = "jammer-aware",
-    chunk_size: int = 4096,
 ) -> MonteCarloMse:
     """Monte-Carlo estimate of the per-antenna channel-estimation MSE.
 
     Draws independent channel, jammer-channel and noise realizations, runs
     the (possibly mismatched) MMSE estimator and averages the squared error
-    norm over ``trials`` trials. Trials are generated in fixed-size chunks,
-    each from its own stream spawned off ``rng``, so the result depends only
-    on the generator state, ``trials`` and ``chunk_size`` and not on how
-    chunks are scheduled. The mean uses numpy's pairwise summation.
+    norm over ``trials`` trials. Trials are generated in chunks of
+    ``_MC_CHUNK``, each from its own stream spawned off ``rng``, so the result
+    depends only on the generator state and ``trials``, not on how chunks are
+    scheduled. The mean uses numpy's pairwise summation.
     """
     if int(trials) != trials or trials < 1:
         raise ValueError(f"trials must be a positive integer, got {trials!r}")
-    _check_dimensions(pilots, jamming, bs_cov, jam_cov, cfg)
     a = _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
     length = pilots.length
     bs_gain = np.sqrt(length * cfg.bs_power) * pilots.matrix.conj().T
@@ -493,10 +400,10 @@ def empirical_mse(
 
     trials = int(trials)
     per_trial = np.empty(trials)
-    n_chunks = -(-trials // int(chunk_size))
+    n_chunks = -(-trials // _MC_CHUNK)
     start = 0
     for stream in rng.spawn(n_chunks):
-        k = min(int(chunk_size), trials - start)
+        k = min(_MC_CHUNK, trials - start)
         h = sample_complex_gaussian(bs_cov.evd, stream, size=k)
         y = bs_gain @ h
         if jam_gain is not None:

@@ -1,16 +1,16 @@
-"""Tests for covariance construction and channel sampling."""
+"""Tests for covariance construction and channel sampling from its EVD."""
 
 import numpy as np
 import pytest
 
-from fddjam.channel import ChannelCovariance, exponential_covariance, sample_channel
+from fddjam.channel import ChannelCovariance, exponential_covariance
+from fddjam.linalg import sample_complex_gaussian
 
 
 class TestExponentialCovariance:
     def test_zero_coefficient_is_identity(self):
         cov = exponential_covariance(3, 0.0)
         assert np.array_equal(cov.matrix, np.eye(3, dtype=complex))
-        assert not cov.degenerate
 
     def test_half_coefficient_exact_entries(self):
         cov = exponential_covariance(3, 0.5)
@@ -22,14 +22,12 @@ class TestExponentialCovariance:
     def test_unit_coefficient_rank_one(self):
         with pytest.warns(RuntimeWarning, match="rank-one"):
             cov = exponential_covariance(3, 1.0)
-        assert cov.degenerate
         assert np.array_equal(cov.matrix, np.ones((3, 3), dtype=complex))
         np.testing.assert_allclose(cov.evd.eigenvalues, [3.0, 0.0, 0.0], atol=1e-12)
 
     @pytest.mark.filterwarnings("error")
     def test_unit_coefficient_single_antenna_is_not_degenerate(self):
         cov = exponential_covariance(1, 1.0)
-        assert not cov.degenerate
         assert np.array_equal(cov.matrix, np.eye(1, dtype=complex))
 
     @pytest.mark.parametrize("bad", [-0.1, 1.2, np.nan])
@@ -94,19 +92,19 @@ class TestFromMatrix:
 class TestSampleChannel:
     def test_mean_energy_matches_trace(self):
         cov = exponential_covariance(2, 0.0)
-        draws = sample_channel(cov, np.random.default_rng(0), size=20_000)
+        draws = sample_complex_gaussian(cov.evd, np.random.default_rng(0), size=20_000)
         energy = float((np.abs(draws) ** 2).sum(axis=0).mean())
         assert energy == pytest.approx(2.0, abs=0.05)
 
     def test_correlated_lln(self):
         n, trials = 16, 100_000
         cov = exponential_covariance(n, 0.9)
-        draws = sample_channel(cov, np.random.default_rng(4), size=trials)
+        draws = sample_complex_gaussian(cov.evd, np.random.default_rng(4), size=trials)
         empirical = (draws @ draws.conj().T) / trials
         rel = np.linalg.norm(empirical - cov.matrix) / np.linalg.norm(cov.matrix)
         assert rel <= 0.05
 
     def test_single_draw_shape(self):
         cov = exponential_covariance(5, 0.3)
-        v = sample_channel(cov, np.random.default_rng(1))
+        v = sample_complex_gaussian(cov.evd, np.random.default_rng(1))
         assert v.shape == (5,)

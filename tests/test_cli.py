@@ -58,12 +58,23 @@ class TestMseCommand:
         ("flags", "key"),
         [(["--pb-db", "nan"], "bs_power_db"),
          (["--pb-db", "0", "--pj-db", "3100", "--jamming", "single-shot"],
-          "jammer_power_db")],
+          "jammer_power_db"),
+         (["--pb-db", "0", "--seed", "-1"], "--seed")],
     )
     def test_bad_power_exit_2_naming_key(self, capsys, flags, key):
         code, _, err = run_cli(capsys, ["mse", "--M", "4", "--L", "2", "--r", "0", *flags])
         assert code == 2
         assert key in err
+
+    def test_minus_infinity_jammer_power_is_silent(self, capsys):
+        # argparse reads "-inf" as a flag unless it is joined with "="
+        base = ["mse", "--M", "4", "--L", "2", "--r", "0.5", "--pb-db", "5"]
+        code, out, _ = run_cli(capsys, [*base, "--pj-db=-inf", "--jamming", "eigen-optimal"])
+        silent_code, silent_out, _ = run_cli(capsys, [*base, "--jamming", "silent"])
+        assert code == silent_code == 0
+        mse_closed = out.strip().splitlines()[1].split(",")[4]
+        assert mse_closed == silent_out.strip().splitlines()[1].split(",")[4]
+        assert mse_closed == "0.299479077298"
 
     def test_unknown_flag_is_usage_error(self):
         with pytest.raises(SystemExit) as exc:

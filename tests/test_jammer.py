@@ -5,17 +5,22 @@ import pytest
 
 from fddjam.channel import ChannelCovariance, exponential_covariance
 from fddjam.jammer import (
-    JammingMatrix,
     jamming_objective,
     optimal_jamming,
-    random_unitary_jamming,
     single_shot_jamming,
     verify_lemma,
 )
 from fddjam.linalg import haar_orthonormal_columns
-from fddjam.tolerances import DIAGONALITY_TOL
-from fddjam.training import TrainingConfig, optimal_pilots, scenario_closed_form_mse
+from fddjam.training import (
+    TrainingConfig,
+    UnitaryBlock,
+    optimal_pilots,
+    scenario_closed_form_mse,
+)
 from oracles import full_dimension_mse
+
+# Off-diagonal Frobenius mass allowed where a congruence should be diagonal.
+DIAGONALITY_TOL = 1e-9
 
 
 def make_cfg(M, N, L, pb=5.0, pj=5.0, nv=1.0, r=0.7, rg=None):
@@ -36,7 +41,6 @@ class TestOptimalJamming:
         cov = exponential_covariance(4, 0.0)
         jam = optimal_jamming(cov, 2)
         np.testing.assert_allclose(jam.matrix, np.eye(4, dtype=complex)[:, :2], atol=1e-12)
-        assert jam.strategy == "eigen-optimal"
 
     def test_objective_is_top_eigenvalue_sum(self):
         # covariance with eigenvalues (3, 2, 1); diagonal need not be one
@@ -68,7 +72,6 @@ class TestSingleShotJamming:
         assert np.array_equal(
             jam.matrix, np.array([[1, 0], [0, 1], [0, 0]], dtype=complex)
         )
-        assert jam.strategy == "single-shot"
 
     @pytest.mark.parametrize("n,l", [(1, 1), (8, 3), (64, 64), (64, 1)])
     def test_exactly_orthonormal(self, n, l):
@@ -100,7 +103,7 @@ class TestJammingObjective:
         top = float(cov.evd.eigenvalues[:3].sum())
         rng = np.random.default_rng(17)
         for _ in range(500):
-            jam = random_unitary_jamming(6, 3, rng)
+            jam = UnitaryBlock(haar_orthonormal_columns(6, 3, rng))
             assert jamming_objective(jam, cov) <= top + 1e-9
 
     def test_bounded_by_extreme_eigenvalue_sums(self):
@@ -109,7 +112,7 @@ class TestJammingObjective:
         hi = float(cov.evd.eigenvalues[:3].sum())
         rng = np.random.default_rng(19)
         for _ in range(100):
-            value = jamming_objective(random_unitary_jamming(6, 3, rng), cov)
+            value = jamming_objective(UnitaryBlock(haar_orthonormal_columns(6, 3, rng)), cov)
             assert lo - 1e-9 <= value <= hi + 1e-9
 
     def test_rejects_size_mismatch(self):
@@ -121,11 +124,7 @@ class TestJammingObjective:
 class TestJammingMatrixType:
     def test_validates_orthonormal_columns(self):
         with pytest.raises(ValueError, match="orthonormal"):
-            JammingMatrix(np.ones((4, 2), dtype=complex), strategy="single-shot")
-
-    def test_validates_strategy_label(self):
-        with pytest.raises(ValueError, match="strategy"):
-            JammingMatrix(np.eye(4, 2, dtype=complex), strategy="loud")
+            UnitaryBlock(np.ones((4, 2), dtype=complex))
 
     def test_matrix_is_read_only(self):
         jam = single_shot_jamming(4, 2)
@@ -186,6 +185,15 @@ class TestVerifyLemma:
         jam = optimal_jamming(jam_cov, L)
         full = full_dimension_mse(pilots, jam, bs_cov, jam_cov, cfg, "jammer-aware")
         assert verdict.optimal_mse == pytest.approx(full, abs=1e-10)
+
+    def test_rejects_jammer_covariance_size_mismatch(self):
+        cfg = make_cfg(4, 3, 2)
+        bs_cov = exponential_covariance(4, 0.5)
+        with pytest.raises(ValueError, match="jamm"):
+            verify_lemma(
+                bs_cov, exponential_covariance(2, 0.5), optimal_pilots(bs_cov, 2), cfg, 0,
+                np.random.default_rng(0),
+            )
 
     def test_rejects_negative_samples(self):
         cfg = make_cfg(4, 2, 2)

@@ -11,9 +11,13 @@ from fddjam.linalg import (
     sample_complex_gaussian,
     solve_hpd,
 )
-from fddjam.tolerances import EVD_RECONSTRUCTION_RTOL, HPD_RESIDUAL_RTOL
-
 from oracles import jacobi_eigenvalues, random_hermitian
+
+# Relative Frobenius tolerance for rebuilding a matrix from its eigenpairs.
+EVD_RECONSTRUCTION_RTOL = 1e-9
+
+# Relative residual guaranteed by the positive-definite solver.
+HPD_RESIDUAL_RTOL = 1e-10
 
 
 def exp_corr(n, r):

@@ -1,4 +1,4 @@
-"""Tests for pilot design, received-signal synthesis and MMSE estimation."""
+"""Tests for pilot design, MMSE estimation and the closed-form and Monte-Carlo MSE."""
 
 import numpy as np
 import pytest
@@ -7,22 +7,24 @@ from hypothesis import strategies as st
 
 import fddjam.training
 from fddjam.channel import ChannelCovariance, exponential_covariance
-from fddjam.jammer import optimal_jamming, random_unitary_jamming, single_shot_jamming
-from fddjam.tolerances import ERROR_COV_PSD_FLOOR, HERMITIAN_ATOL
+from fddjam.jammer import optimal_jamming, single_shot_jamming
+from fddjam.linalg import haar_orthonormal_columns
+from fddjam.tolerances import HERMITIAN_ATOL
 from fddjam.training import (
     ESTIMATOR_MODES,
-    EstimationOutcome,
-    PilotMatrix,
     TrainingConfig,
+    UnitaryBlock,
+    _mmse_filter,
     empirical_mse,
-    mmse_estimate,
     optimal_pilots,
     random_unitary_pilots,
-    received_signal,
     scenario_closed_form_mse,
     worst_case_pilots,
 )
 from oracles import estimate_covariance, full_dimension_mse
+
+# Smallest admissible eigenvalue of the estimation-error covariance.
+ERROR_COV_PSD_FLOOR = -1e-9
 
 
 def make_cfg(M=8, N=4, L=4, pb=5.0, pj=5.0, nv=1.0, r=0.7, rg=None):
@@ -81,7 +83,6 @@ class TestPilotDesigns:
         cov = exponential_covariance(5, 0.0)
         pilots = optimal_pilots(cov, 3)
         np.testing.assert_allclose(pilots.matrix, np.eye(5, dtype=complex)[:, :3], atol=1e-12)
-        assert pilots.design == "optimal"
 
     def test_optimal_two_antenna_closed_form(self):
         cov = exponential_covariance(2, 0.5)
@@ -150,73 +151,7 @@ class TestPilotDesigns:
 
     def test_pilot_matrix_validates_columns(self):
         with pytest.raises(ValueError, match="orthonormal"):
-            PilotMatrix(np.ones((4, 2), dtype=complex), design="optimal")
-        with pytest.raises(ValueError, match="design"):
-            PilotMatrix(np.eye(4, 2, dtype=complex), design="fancy")
-
-
-class TestReceivedSignal:
-    def test_all_sources_off_gives_zero(self):
-        cfg = make_cfg(M=4, N=2, L=2, pb=float("-inf"), pj=float("-inf"), nv=0.0)
-        cov = exponential_covariance(4, 0.7)
-        jcov = exponential_covariance(2, 0.7)
-        pilots = optimal_pilots(cov, 2)
-        jam = single_shot_jamming(2, 2)
-        rng = np.random.default_rng(0)
-        h = np.ones(4, dtype=complex)
-        g = np.ones(2, dtype=complex)
-        y = received_signal(pilots, jam, h, g, cfg, rng)
-        assert np.all(y == 0)
-
-    def test_noiseless_no_jammer_is_exact(self):
-        cfg = make_cfg(M=4, L=2, pb=3.0, nv=0.0)
-        cov = exponential_covariance(4, 0.5)
-        pilots = optimal_pilots(cov, 2)
-        rng = np.random.default_rng(1)
-        h = np.array([1 + 1j, 2, -1j, 0.5])
-        y = received_signal(pilots, None, h, None, cfg, rng)
-        expected = np.sqrt(2 * cfg.bs_power) * (pilots.matrix.conj().T @ h)
-        assert np.array_equal(y, expected)
-
-    def test_mean_energy_matches_covariance_trace(self):
-        cfg = make_cfg(M=8, N=4, L=4)
-        cov = exponential_covariance(8, 0.7)
-        jcov = exponential_covariance(4, 0.7)
-        pilots = optimal_pilots(cov, 4)
-        jam = optimal_jamming(jcov, 4)
-        L = 4
-        # independent oracle: trace of the received-block covariance
-        expected = (
-            L * cfg.bs_power
-            * float(np.trace(pilots.matrix.conj().T @ cov.matrix @ pilots.matrix).real)
-            + L * cfg.jammer_power
-            * float(np.trace(jam.matrix.conj().T @ jcov.matrix @ jam.matrix).real)
-            + cfg.noise_variance * L
-        )
-        rng = np.random.default_rng(3)
-        trials = 30_000
-        hs = cov.evd.eigenvectors @ (
-            np.sqrt(cov.evd.eigenvalues)[:, None]
-            * np.sqrt(0.5)
-            * (rng.standard_normal((8, trials)) + 1j * rng.standard_normal((8, trials)))
-        )
-        gs = jcov.evd.eigenvectors @ (
-            np.sqrt(jcov.evd.eigenvalues)[:, None]
-            * np.sqrt(0.5)
-            * (rng.standard_normal((4, trials)) + 1j * rng.standard_normal((4, trials)))
-        )
-        total = 0.0
-        for t in range(trials):
-            y = received_signal(pilots, jam, hs[:, t], gs[:, t], cfg, rng)
-            total += float(np.vdot(y, y).real)
-        assert total / trials == pytest.approx(expected, rel=0.02)
-
-    def test_rejects_dimension_mismatch(self):
-        cfg = make_cfg(M=4, L=2)
-        cov = exponential_covariance(4, 0.5)
-        pilots = optimal_pilots(cov, 2)
-        with pytest.raises(ValueError):
-            received_signal(pilots, None, np.ones(3), None, cfg, np.random.default_rng(0))
+            UnitaryBlock(np.ones((4, 2), dtype=complex))
 
 
 class TestEstimateCovariance:
@@ -332,7 +267,7 @@ class TestClosedFormMse:
         silent = scenario_closed_form_mse(pilots, None, cov, jcov, cfg)
         rng = np.random.default_rng(8)
         for _ in range(50):
-            jam = random_unitary_jamming(8, 4, rng)
+            jam = UnitaryBlock(haar_orthonormal_columns(8, 4, rng))
             jammed = scenario_closed_form_mse(pilots, jam, cov, jcov, cfg)
             assert jammed >= silent - 1e-12
 
@@ -377,7 +312,7 @@ class TestOracleAgreement:
         jam = {
             "silent": None,
             "single-shot": single_shot_jamming(n, length),
-            "random-unitary": random_unitary_jamming(n, length, rng),
+            "random-unitary": UnitaryBlock(haar_orthonormal_columns(n, length, rng)),
         }[jamming]
         closed = scenario_closed_form_mse(pilots, jam, cov, jcov, cfg, mode)
         oracle = full_dimension_mse(pilots, jam, cov, jcov, cfg, mode)
@@ -385,11 +320,12 @@ class TestOracleAgreement:
 
 
 class TestMmseEstimate:
+    # the estimate from a received block y is _mmse_filter(...) @ y
     def test_zero_input_gives_zero_estimate(self):
         cfg = make_cfg(M=6, L=3)
         cov = exponential_covariance(6, 0.7)
         pilots = optimal_pilots(cov, 3)
-        est = mmse_estimate(np.zeros(3), pilots, None, cov, None, cfg)
+        est = _mmse_filter(pilots, None, cov, None, cfg, "jammer-aware") @ np.zeros(3)
         assert np.all(est == 0)
 
     def test_noiseless_invertible_limit_recovers_channel(self):
@@ -405,8 +341,11 @@ class TestMmseEstimate:
             * np.sqrt(0.5)
             * (rng.standard_normal(M) + 1j * rng.standard_normal(M))
         )
-        y = received_signal(pilots, None, h, None, cfg, rng)
-        est = mmse_estimate(y, pilots, None, cov, None, cfg)
+        noise = np.sqrt(cfg.noise_variance * 0.5) * (
+            rng.standard_normal(M) + 1j * rng.standard_normal(M)
+        )
+        y = np.sqrt(M * cfg.bs_power) * (pilots.matrix.conj().T @ h) + noise
+        est = _mmse_filter(pilots, None, cov, None, cfg, "jammer-aware") @ y
         assert np.linalg.norm(est - h) / np.linalg.norm(h) <= 1e-4
 
     def test_unaware_mode_drops_jamming_statistics(self):
@@ -416,9 +355,9 @@ class TestMmseEstimate:
         pilots = optimal_pilots(cov, 4)
         jam = optimal_jamming(jcov, 4)
         y = np.ones(4, dtype=complex)
-        aware = mmse_estimate(y, pilots, jam, cov, jcov, cfg, "jammer-aware")
-        unaware = mmse_estimate(y, pilots, jam, cov, jcov, cfg, "jammer-unaware")
-        silent_filter = mmse_estimate(y, pilots, None, cov, jcov, cfg, "jammer-aware")
+        aware = _mmse_filter(pilots, jam, cov, jcov, cfg, "jammer-aware") @ y
+        unaware = _mmse_filter(pilots, jam, cov, jcov, cfg, "jammer-unaware") @ y
+        silent_filter = _mmse_filter(pilots, None, cov, jcov, cfg, "jammer-aware") @ y
         assert not np.allclose(aware, unaware)
         np.testing.assert_allclose(unaware, silent_filter, atol=1e-12)
 
@@ -426,7 +365,7 @@ class TestMmseEstimate:
         cfg = make_cfg(M=4, L=2)
         cov = exponential_covariance(4, 0.5)
         with pytest.raises(ValueError, match="estimator mode"):
-            mmse_estimate(np.zeros(2), optimal_pilots(cov, 2), None, cov, None, cfg, "psychic")
+            _mmse_filter(optimal_pilots(cov, 2), None, cov, None, cfg, "psychic")
 
 
 class TestUnawareClosedForm:
@@ -515,18 +454,3 @@ class TestEmpiricalMse:
                 trials=0, rng=np.random.default_rng(0),
             )
 
-
-class TestEstimationOutcome:
-    def test_squared_error_consistent_with_error_vector(self):
-        rng = np.random.default_rng(6)
-        h = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        est = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        outcome = EstimationOutcome.from_truth(h, est)
-        assert outcome.squared_error == pytest.approx(
-            float(np.linalg.norm(outcome.error) ** 2), abs=1e-12
-        )
-        np.testing.assert_allclose(outcome.error, h - est)
-
-    def test_rejects_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            EstimationOutcome.from_truth(np.ones(3), np.ones(4))
