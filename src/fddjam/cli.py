@@ -36,6 +36,7 @@ from .experiments import (
     write_results,
 )
 from .jammer import verify_lemma
+from .linalg import _single_blas_thread
 from .training import (
     ESTIMATOR_MODES,
     PILOT_DESIGNS,
@@ -230,7 +231,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        with _single_blas_thread():
+            return _COMMANDS[args.command](args)
     except (ConfigError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

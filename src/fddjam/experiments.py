@@ -23,6 +23,7 @@ import numpy as np
 from ._version import __version__
 from .channel import ChannelCovariance, exponential_covariance
 from .jammer import optimal_jamming, single_shot_jamming
+from .linalg import _single_blas_thread
 from .training import (
     ESTIMATOR_MODES,
     PILOT_DESIGNS,
@@ -273,14 +274,21 @@ def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[Resul
     pool (``workers`` argument, else the FDDJAM_WORKERS environment
     variable, else the machine core count), so the output is identical
     regardless of the parallelism degree.
+
+    Both bundled OpenBLAS copies (numpy's and scipy's) run on one thread for
+    the whole sweep, in the serial path and in the forked workers, and get
+    the caller's thread counts back afterwards. Parallelism comes only from
+    worker processes, so ``OPENBLAS_NUM_THREADS`` has no effect inside a
+    sweep. A non-OpenBLAS build is left alone.
     """
     n = len(spec.axis_values)
     workers = resolve_workers(workers, max_useful=n)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            chunks = list(pool.map(_evaluate_axis_value, [spec] * n, range(n)))
-    else:
-        chunks = [_evaluate_axis_value(spec, i) for i in range(n)]
+    with _single_blas_thread():
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                chunks = list(pool.map(_evaluate_axis_value, [spec] * n, range(n)))
+        else:
+            chunks = [_evaluate_axis_value(spec, i) for i in range(n)]
     return [row for chunk in chunks for row in chunk]
 
 

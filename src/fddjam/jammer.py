@@ -71,7 +71,12 @@ def jamming_objective(jamming: UnitaryBlock, jam_cov: ChannelCovariance) -> floa
             f"jamming matrix has {jamming.num_antennas} antennas, covariance "
             f"has {jam_cov.size}"
         )
-    z = jamming.matrix
+    return _trace_objective(jamming.matrix, jam_cov)
+
+
+def _trace_objective(z: np.ndarray, jam_cov: ChannelCovariance) -> float:
+    # trace(Z^H C Z) of a raw block, so verify_lemma's Haar candidates skip
+    # UnitaryBlock's orthonormality check.
     return float(np.vdot(z, jam_cov.matrix @ z).real)
 
 
@@ -132,7 +137,7 @@ def verify_lemma(
     best_mse: float | None = None
     for _ in range(int(num_random)):
         z = haar_orthonormal_columns(jam_cov.size, length, rng)
-        objective = float(np.vdot(z, jam_cov.matrix @ z).real)
+        objective = _trace_objective(z, jam_cov)
         mse = _closed_form(terms, _jamming_term(z, jam_cov, cfg), jammer_aware=True)
         if best_objective is None or objective > best_objective:
             best_objective = objective

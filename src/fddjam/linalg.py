@@ -6,9 +6,14 @@ dimensional; batches of vectors are stacked column-wise.
 
 from __future__ import annotations
 
+import contextlib
+import ctypes
+import functools
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
+import scipy
 from scipy.linalg import cho_factor, cho_solve
 
 from .tolerances import HERMITIAN_ATOL, ORTHONORMAL_TOL, PSD_EIG_FLOOR
@@ -193,3 +198,45 @@ def haar_orthonormal_columns(
         if float(np.min(np.abs(d))) > 1e-12:
             return q * (d / np.abs(d))
     raise np.linalg.LinAlgError("random matrix stayed rank deficient after 3 draws")
+
+
+
+# numpy and scipy wheels each bundle an OpenBLAS, with its own thread count,
+# in <package>.libs: (package, suffix of the library's name and symbols).
+_OPENBLAS_COPIES = ((np, "64_"), (scipy, ""))
+
+
+@functools.cache
+def _openblas_copies() -> tuple:
+    """``(get, set)`` thread-count functions of each bundled OpenBLAS found."""
+    copies = []
+    for package, suffix in _OPENBLAS_COPIES:
+        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
+        try:
+            # Opened by its path, a loaded library is the instance in use.
+            lib = ctypes.CDLL(str(next(libs.glob(f"libscipy_openblas{suffix}-*.so*"))))
+            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+        except (StopIteration, OSError, AttributeError):
+            continue  # an MKL or system BLAS build
+        get.argtypes, get.restype = [], ctypes.c_int
+        set_.argtypes, set_.restype = [ctypes.c_int], None
+        copies.append((get, set_))
+    return tuple(copies)
+
+
+@contextlib.contextmanager
+def _single_blas_thread():
+    """Run every bundled OpenBLAS on one thread, then restore the counts.
+
+    Worker processes forked inside the block inherit the single thread.
+    """
+    copies = _openblas_copies()
+    saved = [get() for get, _ in copies]
+    for _, set_ in copies:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), threads in zip(copies, saved):
+            set_(threads)

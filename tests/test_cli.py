@@ -4,14 +4,28 @@ import json
 
 import pytest
 
+from fddjam import cli
 from fddjam.cli import main
 from fddjam.experiments import load_metadata_spec, read_results
+from fddjam.linalg import _openblas_copies
 
 
 def run_cli(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_commands_run_on_one_blas_thread(monkeypatch):
+    seen = []
+
+    def record(args):
+        seen.append([get() for get, _ in _openblas_copies()])
+        return 0
+
+    monkeypatch.setitem(cli._COMMANDS, "mse", record)
+    assert main(["mse", "--M", "4", "--L", "2", "--r", "0", "--pb-db", "0"]) == 0
+    assert seen == [[1] * len(_openblas_copies())]
 
 
 class TestMseCommand:

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from fddjam import experiments
 from fddjam.experiments import (
     CSV_HEADER,
     ConfigError,
@@ -22,7 +23,14 @@ from fddjam.experiments import (
     spec_to_dict,
     write_results,
 )
+from fddjam.linalg import _openblas_copies
 from fddjam.training import TrainingConfig
+
+
+def blas_counts_of_point(spec, axis_index):
+    # Stands in for one grid point's evaluation: its "rows" are the live
+    # thread counts of the OpenBLAS copies in the evaluating process.
+    return [tuple(get() for get, _ in _openblas_copies())]
 
 
 def small_spec(trials=0, seed=0, scenarios=None):
@@ -141,6 +149,12 @@ class TestRunSweep:
         serial = run_sweep(spec, workers=1)
         parallel = run_sweep(spec, workers=2)
         assert serial == parallel
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_points_run_on_one_blas_thread(self, monkeypatch, workers):
+        monkeypatch.setattr(experiments, "_evaluate_axis_value", blas_counts_of_point)
+        single = (1,) * len(_openblas_copies())
+        assert run_sweep(small_spec(), workers=workers) == [single] * 3
 
     def test_silent_curve_lower_bounds_jamming(self):
         spec = small_spec()

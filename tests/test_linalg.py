@@ -1,10 +1,17 @@
 """Tests for the complex linear-algebra primitives."""
 
+from concurrent.futures import ProcessPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
+import scipy
 
+from fddjam import linalg
 from fddjam.linalg import (
     HermitianEvd,
+    _openblas_copies,
+    _single_blas_thread,
     haar_orthonormal_columns,
     hermitian_evd,
     require_orthonormal_columns,
@@ -195,3 +202,61 @@ class TestHaarColumns:
             acc += np.abs(q[:, 0]) ** 2
         acc /= draws
         np.testing.assert_allclose(acc, np.full(rows, 1.0 / rows), atol=0.02)
+
+
+def blas_thread_counts():
+    return [get() for get, _ in _openblas_copies()]
+
+
+@pytest.fixture
+def copies():
+    # Every OpenBLAS library bundled with numpy or scipy must be found: a
+    # discovery that silently finds none would let oversubscription back.
+    bundled = [
+        path
+        for package in (np, scipy)
+        for path in (Path(package.__file__).parent.parent / f"{package.__name__}.libs")
+        .glob("*openblas*")
+    ]
+    if not bundled:
+        pytest.skip("numpy and scipy bundle no OpenBLAS")
+    found = _openblas_copies()
+    assert len(found) == len(bundled)
+    return found
+
+
+class TestSingleBlasThread:
+    def test_every_copy_runs_one_thread_inside(self, copies):
+        with _single_blas_thread():
+            assert blas_thread_counts() == [1] * len(copies)
+            with _single_blas_thread():
+                pass
+            assert blas_thread_counts() == [1] * len(copies)
+
+    def test_pool_worker_started_inside_inherits_one_thread(self, copies):
+        with _single_blas_thread(), ProcessPoolExecutor(max_workers=1) as pool:
+            counts = pool.submit(blas_thread_counts).result(timeout=60)
+        assert counts == [1] * len(copies)
+
+    def test_restores_caller_counts_also_on_error(self, copies):
+        saved = blas_thread_counts()
+        try:
+            for _, set_ in copies:
+                set_(2)
+            with pytest.raises(RuntimeError), _single_blas_thread():
+                raise RuntimeError("inside")
+            assert blas_thread_counts() == [2] * len(copies)
+        finally:
+            for (_, set_), threads in zip(copies, saved):
+                set_(threads)
+
+    def test_no_bundled_copy_is_a_no_op(self, monkeypatch):
+        monkeypatch.setattr(linalg, "_OPENBLAS_COPIES", ((np, "-no-such-build"),))
+        _openblas_copies.cache_clear()
+        try:
+            assert _openblas_copies() == ()
+            with _single_blas_thread():
+                x = solve_hpd(np.eye(2), np.ones(2))
+            np.testing.assert_allclose(x, np.ones(2))
+        finally:
+            _openblas_copies.cache_clear()
