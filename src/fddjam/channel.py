@@ -11,7 +11,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import toeplitz
 
 from .linalg import HermitianEvd, as_complex_matrix, hermitian_evd
 from .tolerances import PSD_EIG_FLOOR, UNIT_DIAGONAL_ATOL
@@ -82,5 +81,6 @@ def exponential_covariance(size: int, coefficient: float) -> ChannelCovariance:
             RuntimeWarning,
             stacklevel=2,
         )
-    matrix = toeplitz(c ** np.arange(int(size))).astype(np.complex128)
+    lags = np.arange(int(size))
+    matrix = (c ** lags)[np.abs(lags[:, None] - lags)].astype(np.complex128)
     return ChannelCovariance.from_matrix(matrix)

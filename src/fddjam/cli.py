@@ -233,18 +233,14 @@ def main(argv=None) -> int:
     try:
         with _single_blas_thread():
             return _COMMANDS[args.command](args)
-    except (ConfigError, json.JSONDecodeError) as exc:
+    # LinAlgError subclasses ValueError, so compute errors are caught first;
+    # ValueError still covers ConfigError and JSONDecodeError.
+    except (ArithmeticError, np.linalg.LinAlgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (ArithmeticError, np.linalg.LinAlgError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -275,9 +275,9 @@ def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[Resul
     variable, else the machine core count), so the output is identical
     regardless of the parallelism degree.
 
-    Both bundled OpenBLAS copies (numpy's and scipy's) run on one thread for
-    the whole sweep, in the serial path and in the forked workers, and get
-    the caller's thread counts back afterwards. Parallelism comes only from
+    The OpenBLAS bundled with numpy runs on one thread for the whole sweep,
+    in the serial path and in the forked workers, and gets the caller's
+    thread count back afterwards. Parallelism comes only from
     worker processes, so ``OPENBLAS_NUM_THREADS`` has no effect inside a
     sweep. A non-OpenBLAS build is left alone.
     """

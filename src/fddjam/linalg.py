@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
-from scipy.linalg import cho_factor, cho_solve
 
 from .tolerances import HERMITIAN_ATOL, ORTHONORMAL_TOL, PSD_EIG_FLOOR
 
@@ -115,8 +113,9 @@ def hermitian_evd(matrix) -> HermitianEvd:
 def solve_hpd(a, b) -> np.ndarray:
     """Solve ``a @ x = b`` for Hermitian positive-definite ``a``.
 
-    Uses a Cholesky factorization and never forms the inverse explicitly.
-    ``b`` may be a vector or a matrix of right-hand sides.
+    A Cholesky factorization checks positive definiteness; the solve itself
+    is numpy's LU solve, which never forms the inverse explicitly. ``b`` may
+    be a vector or a matrix of right-hand sides.
 
     Raises
     ------
@@ -137,10 +136,10 @@ def solve_hpd(a, b) -> np.ndarray:
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs contains non-finite entries")
     try:
-        factor = cho_factor(a, lower=True)
+        np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
-        raise np.linalg.LinAlgError(f"matrix is not positive definite ({exc})") from exc
-    return cho_solve(factor, rhs)
+        raise np.linalg.LinAlgError("matrix is not positive definite") from exc
+    return np.linalg.solve(a, rhs)
 
 
 def sample_complex_gaussian(
@@ -200,10 +199,9 @@ def haar_orthonormal_columns(
     raise np.linalg.LinAlgError("random matrix stayed rank deficient after 3 draws")
 
 
-
-# numpy and scipy wheels each bundle an OpenBLAS, with its own thread count,
-# in <package>.libs: (package, suffix of the library's name and symbols).
-_OPENBLAS_COPIES = ((np, "64_"), (scipy, ""))
+# A numpy wheel bundles its own OpenBLAS, with its own thread count, in
+# numpy.libs: (package, suffix of the library's name and symbols).
+_OPENBLAS_COPIES = ((np, "64_"),)
 
 
 @functools.cache
@@ -213,10 +211,14 @@ def _openblas_copies() -> tuple:
     for package, suffix in _OPENBLAS_COPIES:
         libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
         try:
+            path = next(libs.glob(f"lib*openblas{suffix}-*.so*"))
+            # The symbols carry the library's name: lib<name>64_-<hash>.so
+            # exports <name>_get_num_threads64_.
+            name = path.name[len("lib"):path.name.index(f"{suffix}-")]
             # Opened by its path, a loaded library is the instance in use.
-            lib = ctypes.CDLL(str(next(libs.glob(f"libscipy_openblas{suffix}-*.so*"))))
-            get = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
-            set_ = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            lib = ctypes.CDLL(str(path))
+            get = getattr(lib, f"{name}_get_num_threads{suffix}")
+            set_ = getattr(lib, f"{name}_set_num_threads{suffix}")
         except (StopIteration, OSError, AttributeError):
             continue  # an MKL or system BLAS build
         get.argtypes, get.restype = [], ctypes.c_int

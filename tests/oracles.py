@@ -1,14 +1,20 @@
 """Independent numerical oracles used by the tests.
 
 These deliberately avoid the library's own code paths (and LAPACK where the
-library relies on it) so cross-checks stay meaningful.
+library relies on it) so cross-checks stay meaningful: the full-dimension
+formulas solve through scipy's Cholesky routines, not the library's numpy
+solve.
 """
 
 import math
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
-from fddjam.linalg import solve_hpd
+
+def solve_hpd(a, b):
+    """Solve ``a @ x = b`` for Hermitian positive-definite ``a`` by Cholesky."""
+    return cho_solve(cho_factor(a, lower=True), b)
 
 
 def jacobi_eigenvalues(matrix, sweeps=100, tol=1e-13):

@@ -1,9 +1,14 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import fddjam
 from fddjam import cli
 from fddjam.cli import main
 from fddjam.experiments import load_metadata_spec, read_results
@@ -26,6 +31,15 @@ def test_commands_run_on_one_blas_thread(monkeypatch):
     monkeypatch.setitem(cli._COMMANDS, "mse", record)
     assert main(["mse", "--M", "4", "--L", "2", "--r", "0", "--pb-db", "0"]) == 0
     assert seen == [[1] * len(_openblas_copies())]
+
+
+def test_runtime_does_not_import_scipy():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(Path(fddjam.__file__).parents[1]), env.get("PYTHONPATH")])
+    )
+    code = "import sys, fddjam.cli; assert 'scipy' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
 
 
 class TestMseCommand:
@@ -149,6 +163,26 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "unknown config keys" in err
+
+    def test_singular_training_system_exit_1(self, capsys, tmp_path):
+        payload = {
+            "num_bs_antennas": 4,
+            "num_jammer_antennas": 4,
+            "bs_power_db": 5.0,
+            "bs_correlation": 1.0,
+            "noise_variance": 0,
+            "sweep_axis": "pilot_length",
+            "axis_values": [2],
+            "scenarios": [{"pilot_design": "optimal", "jamming": "silent"}],
+        }
+        config = tmp_path / "singular.json"
+        config.write_text(json.dumps(payload))
+        with pytest.warns(RuntimeWarning, match="rank-one"):
+            code, _, err = run_cli(
+                capsys, ["sweep", "--config", str(config), "--out", str(tmp_path)]
+            )
+        assert code == 1
+        assert "not positive definite" in err
 
     def test_missing_config_file_nonzero(self, capsys, tmp_path):
         code, _, err = run_cli(
