@@ -17,17 +17,21 @@ from pathlib import Path
 
 import numpy as np
 
-from .channel import exponential_covariance
 from .experiments import (
+    _AXIS_FIELDS,
+    _SCALAR_OPTIONAL,
+    _SCALAR_REQUIRED,
     CSV_HEADER,
     ConfigError,
     FIGURE_SEED,
     JAMMING_CHOICES,
-    ResultRow,
     ExperimentSpec,
-    _build_jamming,
+    Scenario,
     _build_pilots,
     _check_keys,
+    _covariances,
+    _evaluate_scenario,
+    _non_negative_int,
     _training_config_from_dict,
     figure_spec,
     row_fields,
@@ -37,13 +41,7 @@ from .experiments import (
 )
 from .jammer import verify_lemma
 from .linalg import _single_blas_thread
-from .training import (
-    ESTIMATOR_MODES,
-    PILOT_DESIGNS,
-    TrainingConfig,
-    empirical_mse,
-    scenario_closed_form_mse,
-)
+from .training import ESTIMATOR_MODES, PILOT_DESIGNS, TrainingConfig
 
 __all__ = ["build_parser", "main"]
 
@@ -124,41 +122,23 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-_VERIFY_REQUIRED = frozenset(
-    {"num_bs_antennas", "num_jammer_antennas", "pilot_length", "bs_power_db",
-     "bs_correlation"}
-)
-_VERIFY_OPTIONAL = frozenset(
-    {"jammer_power_db", "noise_variance", "jammer_correlation", "pilot_design",
-     "num_random", "seed"}
-)
-
-
-def _non_negative_int(data: dict, key: str, default: int) -> int:
-    value = data.get(key, default)
-    try:
-        valid = int(value) == value and value >= 0
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise ConfigError(f"{key} must be a non-negative integer, got {value!r}")
-    return int(value)
+_VERIFY_REQUIRED = _SCALAR_REQUIRED | set(_AXIS_FIELDS.values())
+_VERIFY_OPTIONAL = _SCALAR_OPTIONAL | {"pilot_design", "num_random", "seed"}
 
 
 def _cmd_verify_lemma(args) -> int:
     data = _load_json(args.config)
     _check_keys(data, _VERIFY_REQUIRED, _VERIFY_OPTIONAL)
-    cfg = _training_config_from_dict(data, data["num_bs_antennas"], data["pilot_length"])
+    cfg = _training_config_from_dict(data)
     pilot_design = data.get("pilot_design", "optimal")
     if pilot_design not in PILOT_DESIGNS:
         raise ConfigError(
             f"pilot_design must be one of {PILOT_DESIGNS}, got {pilot_design!r}"
         )
-    num_random = _non_negative_int(data, "num_random", 500)
-    seed = _non_negative_int(data, "seed", 0)
+    num_random = _non_negative_int(data.get("num_random", 500), "num_random")
+    seed = _non_negative_int(data.get("seed", 0), "seed")
 
-    bs_cov = exponential_covariance(cfg.num_bs_antennas, cfg.bs_correlation)
-    jam_cov = exponential_covariance(cfg.num_jammer_antennas, cfg.jammer_correlation)
+    bs_cov, jam_cov = _covariances(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pilots = _build_pilots(pilot_design, bs_cov, cfg.pilot_length, rng)
     verdict = verify_lemma(bs_cov, jam_cov, pilots, cfg, num_random, rng)
@@ -186,32 +166,11 @@ def _cmd_mse(args) -> int:
         bs_correlation=args.r,
         jammer_correlation=args.rg,
     )
-    if args.trials < 0:
-        raise ConfigError(f"--trials must be non-negative, got {args.trials}")
-    if args.seed < 0:
-        raise ConfigError(f"--seed must be non-negative, got {args.seed}")
-    bs_cov = exponential_covariance(cfg.num_bs_antennas, cfg.bs_correlation)
-    jam_cov = exponential_covariance(cfg.num_jammer_antennas, cfg.jammer_correlation)
-    rng = np.random.default_rng(np.random.SeedSequence(args.seed))
-    pilots = _build_pilots(args.pilot, bs_cov, cfg.pilot_length, rng)
-    jamming = _build_jamming(args.jamming, jam_cov, cfg)
-
-    closed = scenario_closed_form_mse(pilots, jamming, bs_cov, jam_cov, cfg, args.estimator)
-    mse_mc = std_err = None
-    if args.trials > 0:
-        mc = empirical_mse(
-            pilots, jamming, bs_cov, jam_cov, cfg,
-            trials=args.trials, rng=rng, estimator_mode=args.estimator,
-        )
-        mse_mc, std_err = mc.mean, mc.std_error
-    row = ResultRow(
-        axis_value=cfg.pilot_length,
-        pilot_design=args.pilot,
-        jamming=args.jamming,
-        estimator_mode=args.estimator,
-        closed_form_mse=closed,
-        empirical_mse=mse_mc,
-        empirical_std_err=std_err,
+    trials = _non_negative_int(args.trials, "--trials")
+    seed = _non_negative_int(args.seed, "--seed")
+    row = _evaluate_scenario(
+        cfg, _covariances(cfg), Scenario(args.pilot, args.jamming, args.estimator),
+        trials, np.random.default_rng(np.random.SeedSequence(seed)), cfg.pilot_length,
     )
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_HEADER)

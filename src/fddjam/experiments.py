@@ -58,7 +58,9 @@ __all__ = [
     "write_results",
 ]
 
-SWEEP_AXES = ("pilot_length", "bs_antennas")
+# Each sweep axis and the TrainingConfig field its values replace.
+_AXIS_FIELDS = {"pilot_length": "pilot_length", "bs_antennas": "num_bs_antennas"}
+SWEEP_AXES = tuple(_AXIS_FIELDS)
 JAMMING_CHOICES = ("silent", "single-shot", "eigen-optimal")
 CSV_HEADER = ("axis", "pilot_design", "jamming", "estimator_mode",
               "mse_closed", "mse_empirical", "std_err")
@@ -72,6 +74,17 @@ FIGURE_SEED = 1
 
 class ConfigError(ValueError):
     """Invalid experiment configuration: bad keys, values or dimensions."""
+
+
+def _non_negative_int(value, name: str) -> int:
+    """``value`` as an int, or ``ConfigError`` naming ``name``."""
+    try:
+        valid = int(value) == value and value >= 0
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
+        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -138,7 +151,7 @@ class ExperimentSpec:
             raise ConfigError(
                 f"unknown sweep axis {self.sweep_axis!r}; expected one of {SWEEP_AXES}"
             )
-        values = tuple(int(v) for v in self.axis_values)
+        values = tuple(_non_negative_int(v, "axis_values") for v in self.axis_values)
         if not values:
             raise ConfigError("axis_values must not be empty")
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -149,17 +162,13 @@ class ExperimentSpec:
         for entry in scenarios:
             if not isinstance(entry, Scenario):
                 raise ConfigError(f"scenarios must contain Scenario values, got {entry!r}")
-        if int(self.monte_carlo_trials) != self.monte_carlo_trials or self.monte_carlo_trials < 0:
-            raise ConfigError(
-                f"monte_carlo_trials must be a non-negative integer, "
-                f"got {self.monte_carlo_trials!r}"
-            )
-        if int(self.seed) != self.seed or self.seed < 0:
-            raise ConfigError(f"seed must be a non-negative integer, got {self.seed!r}")
         object.__setattr__(self, "axis_values", values)
         object.__setattr__(self, "scenarios", scenarios)
-        object.__setattr__(self, "monte_carlo_trials", int(self.monte_carlo_trials))
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(
+            self, "monte_carlo_trials",
+            _non_negative_int(self.monte_carlo_trials, "monte_carlo_trials"),
+        )
+        object.__setattr__(self, "seed", _non_negative_int(self.seed, "seed"))
         for value in values:
             try:
                 cfg = config_for_point(self.base, self.sweep_axis, value)
@@ -176,11 +185,9 @@ class ExperimentSpec:
 
 def config_for_point(base: TrainingConfig, sweep_axis: str, axis_value: int) -> TrainingConfig:
     """Training configuration at one point of the sweep axis."""
-    if sweep_axis == "pilot_length":
-        return dataclasses.replace(base, pilot_length=int(axis_value))
-    if sweep_axis == "bs_antennas":
-        return dataclasses.replace(base, num_bs_antennas=int(axis_value))
-    raise ConfigError(f"unknown sweep axis {sweep_axis!r}; expected one of {SWEEP_AXES}")
+    if sweep_axis not in _AXIS_FIELDS:
+        raise ConfigError(f"unknown sweep axis {sweep_axis!r}; expected one of {SWEEP_AXES}")
+    return dataclasses.replace(base, **{_AXIS_FIELDS[sweep_axis]: int(axis_value)})
 
 
 def resolve_workers(workers: int | None = None, *, max_useful: int | None = None) -> int:
@@ -228,41 +235,60 @@ def _build_jamming(
     return optimal_jamming(jam_cov, cfg.pilot_length)
 
 
+def _covariances(cfg: TrainingConfig) -> tuple[ChannelCovariance, ChannelCovariance]:
+    """The BS and jammer channel covariances of one training configuration."""
+    return (
+        exponential_covariance(cfg.num_bs_antennas, cfg.bs_correlation),
+        exponential_covariance(cfg.num_jammer_antennas, cfg.jammer_correlation),
+    )
+
+
+def _evaluate_scenario(
+    cfg: TrainingConfig,
+    covs: tuple[ChannelCovariance, ChannelCovariance],
+    scenario: Scenario,
+    trials: int,
+    rng: np.random.Generator,
+    axis_value: int,
+) -> ResultRow:
+    """Closed-form MSE of one scenario, plus its Monte-Carlo estimate when
+    ``trials > 0``; random pilots and the trials both draw from ``rng``."""
+    bs_cov, jam_cov = covs
+    pilots = _build_pilots(scenario.pilot_design, bs_cov, cfg.pilot_length, rng)
+    jamming = _build_jamming(scenario.jamming, jam_cov, cfg)
+    closed = scenario_closed_form_mse(
+        pilots, jamming, bs_cov, jam_cov, cfg, scenario.estimator_mode
+    )
+    mse_mc = std_err = None
+    if trials > 0:
+        mc = empirical_mse(
+            pilots, jamming, bs_cov, jam_cov, cfg,
+            trials=trials, rng=rng, estimator_mode=scenario.estimator_mode,
+        )
+        mse_mc, std_err = mc.mean, mc.std_error
+    return ResultRow(
+        axis_value=axis_value,
+        pilot_design=scenario.pilot_design,
+        jamming=scenario.jamming,
+        estimator_mode=scenario.estimator_mode,
+        closed_form_mse=closed,
+        empirical_mse=mse_mc,
+        empirical_std_err=std_err,
+    )
+
+
 def _evaluate_axis_value(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     value = spec.axis_values[axis_index]
     cfg = config_for_point(spec.base, spec.sweep_axis, value)
-    bs_cov = exponential_covariance(cfg.num_bs_antennas, cfg.bs_correlation)
-    jam_cov = exponential_covariance(cfg.num_jammer_antennas, cfg.jammer_correlation)
-    rows = []
-    for scenario_index, scenario in enumerate(spec.scenarios):
-        point_index = axis_index * len(spec.scenarios) + scenario_index
-        rng = _point_rng(spec.seed, point_index)
-        pilots = _build_pilots(scenario.pilot_design, bs_cov, cfg.pilot_length, rng)
-        jamming = _build_jamming(scenario.jamming, jam_cov, cfg)
-        closed = scenario_closed_form_mse(
-            pilots, jamming, bs_cov, jam_cov, cfg, scenario.estimator_mode
+    covs = _covariances(cfg)
+    first_point = axis_index * len(spec.scenarios)
+    return [
+        _evaluate_scenario(
+            cfg, covs, scenario, spec.monte_carlo_trials,
+            _point_rng(spec.seed, first_point + scenario_index), value,
         )
-        mse_mc = std_err = None
-        if spec.monte_carlo_trials > 0:
-            mc = empirical_mse(
-                pilots, jamming, bs_cov, jam_cov, cfg,
-                trials=spec.monte_carlo_trials,
-                rng=rng,
-                estimator_mode=scenario.estimator_mode,
-            )
-            mse_mc, std_err = mc.mean, mc.std_error
-        rows.append(
-            ResultRow(
-                axis_value=value,
-                pilot_design=scenario.pilot_design,
-                jamming=scenario.jamming,
-                estimator_mode=scenario.estimator_mode,
-                closed_form_mse=closed,
-                empirical_mse=mse_mc,
-                empirical_std_err=std_err,
-            )
-        )
-    return rows
+        for scenario_index, scenario in enumerate(spec.scenarios)
+    ]
 
 
 def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[ResultRow]:
@@ -385,40 +411,24 @@ def read_results(path) -> list[ResultRow]:
 
 # Flat config schema: every key mirrors an ExperimentSpec / TrainingConfig
 # field. Unknown keys are a hard error to guard against silent typos in
-# physics parameters.
-_REQUIRED_KEYS = frozenset(
-    {"sweep_axis", "axis_values", "scenarios", "num_jammer_antennas",
-     "bs_power_db", "bs_correlation"}
-)
-_OPTIONAL_KEYS = frozenset(
-    {"num_bs_antennas", "pilot_length", "jammer_power_db", "noise_variance",
-     "jammer_correlation", "monte_carlo_trials", "seed"}
+# physics parameters. The TrainingConfig scalars other than the two sized
+# fields (the ``_AXIS_FIELDS`` values) are shared with ``verify-lemma``.
+_SCALAR_REQUIRED = frozenset({"num_jammer_antennas", "bs_power_db", "bs_correlation"})
+_SCALAR_OPTIONAL = frozenset({"jammer_power_db", "noise_variance", "jammer_correlation"})
+_REQUIRED_KEYS = _SCALAR_REQUIRED | {"sweep_axis", "axis_values", "scenarios"}
+_OPTIONAL_KEYS = (
+    _SCALAR_OPTIONAL | set(_AXIS_FIELDS.values()) | {"monte_carlo_trials", "seed"}
 )
 _SCENARIO_KEYS = frozenset({"pilot_design", "jamming", "estimator_mode"})
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
     """Flat dictionary form of a spec, the same schema ``spec_from_dict`` reads."""
-    base = spec.base
     return {
-        "num_bs_antennas": base.num_bs_antennas,
-        "num_jammer_antennas": base.num_jammer_antennas,
-        "pilot_length": base.pilot_length,
-        "bs_power_db": base.bs_power_db,
-        "jammer_power_db": base.jammer_power_db,
-        "noise_variance": base.noise_variance,
-        "bs_correlation": base.bs_correlation,
-        "jammer_correlation": base.jammer_correlation,
+        **dataclasses.asdict(spec.base),
         "sweep_axis": spec.sweep_axis,
         "axis_values": list(spec.axis_values),
-        "scenarios": [
-            {
-                "pilot_design": s.pilot_design,
-                "jamming": s.jamming,
-                "estimator_mode": s.estimator_mode,
-            }
-            for s in spec.scenarios
-        ],
+        "scenarios": [dataclasses.asdict(s) for s in spec.scenarios],
         "monte_carlo_trials": spec.monte_carlo_trials,
         "seed": spec.seed,
     }
@@ -436,17 +446,17 @@ def _check_keys(data, required: frozenset, optional: frozenset) -> None:
         raise ConfigError(f"missing config keys: {sorted(missing)}")
 
 
-def _training_config_from_dict(data: dict, num_bs_antennas, pilot_length) -> TrainingConfig:
-    """TrainingConfig from the flat config scalars, with the two sized fields given.
+def _training_config_from_dict(data: dict) -> TrainingConfig:
+    """TrainingConfig from the flat config scalars.
 
     ``jammer_power_db`` defaults to ``bs_power_db``, ``noise_variance`` to 1
     and ``jammer_correlation`` to ``bs_correlation``.
     """
     try:
         return TrainingConfig(
-            num_bs_antennas=num_bs_antennas,
+            num_bs_antennas=data["num_bs_antennas"],
             num_jammer_antennas=data["num_jammer_antennas"],
-            pilot_length=pilot_length,
+            pilot_length=data["pilot_length"],
             bs_power_db=float(data["bs_power_db"]),
             jammer_power_db=float(data.get("jammer_power_db", data["bs_power_db"])),
             noise_variance=float(data.get("noise_variance", 1.0)),
@@ -497,21 +507,14 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             )
         )
 
-    first_axis = axis_values[0]
-    if sweep_axis == "pilot_length":
-        pilot_length = data.get("pilot_length", first_axis)
-        if "num_bs_antennas" not in data:
-            raise ConfigError("missing config keys: ['num_bs_antennas']")
-        num_bs = data["num_bs_antennas"]
-    elif sweep_axis == "bs_antennas":
-        num_bs = data.get("num_bs_antennas", first_axis)
-        if "pilot_length" not in data:
-            raise ConfigError("missing config keys: ['pilot_length']")
-        pilot_length = data["pilot_length"]
-    else:
+    if sweep_axis not in _AXIS_FIELDS:
         raise ConfigError(f"unknown sweep axis {sweep_axis!r}; expected one of {SWEEP_AXES}")
+    swept = _AXIS_FIELDS[sweep_axis]
+    missing = [f for f in _AXIS_FIELDS.values() if f != swept and f not in data]
+    if missing:
+        raise ConfigError(f"missing config keys: {missing}")
 
-    base = _training_config_from_dict(data, num_bs, pilot_length)
+    base = _training_config_from_dict({swept: axis_values[0], **data})
 
     return ExperimentSpec(
         base=base,
@@ -545,6 +548,13 @@ _FIGURE_SCENARIOS = (
     Scenario("worst-case", "eigen-optimal"),
 )
 
+# figure: (sweep axis, axis values, M, N, base L, correlation)
+_FIGURES = {
+    1: ("pilot_length", range(5, 101, 5), 100, 100, 5, 0.4),
+    2: ("pilot_length", range(5, 101, 5), 100, 100, 5, 0.7),
+    3: ("bs_antennas", range(25, 201, 5), 25, 25, 20, 0.7),
+}
+
 
 def figure_spec(
     figure: int, *, monte_carlo_trials: int = 0, seed: int = FIGURE_SEED
@@ -558,40 +568,23 @@ def figure_spec(
     training length 20 with a 25-antenna jammer and correlation 0.7. All use
     5 dB transmit power for both BS and jammer, relative to unit noise.
     """
-    if figure in (1, 2):
-        base = TrainingConfig(
-            num_bs_antennas=100,
-            num_jammer_antennas=100,
-            pilot_length=5,
-            bs_power_db=5.0,
-            jammer_power_db=5.0,
-            noise_variance=1.0,
-            bs_correlation=0.4 if figure == 1 else 0.7,
-        )
-        return ExperimentSpec(
-            base=base,
-            sweep_axis="pilot_length",
-            axis_values=tuple(range(5, 101, 5)),
-            scenarios=_FIGURE_SCENARIOS,
-            monte_carlo_trials=monte_carlo_trials,
-            seed=seed,
-        )
-    if figure == 3:
-        base = TrainingConfig(
-            num_bs_antennas=25,
-            num_jammer_antennas=25,
-            pilot_length=20,
-            bs_power_db=5.0,
-            jammer_power_db=5.0,
-            noise_variance=1.0,
-            bs_correlation=0.7,
-        )
-        return ExperimentSpec(
-            base=base,
-            sweep_axis="bs_antennas",
-            axis_values=tuple(range(25, 201, 5)),
-            scenarios=_FIGURE_SCENARIOS,
-            monte_carlo_trials=monte_carlo_trials,
-            seed=seed,
-        )
-    raise ConfigError(f"unknown figure {figure!r}; expected 1, 2 or 3")
+    if figure not in _FIGURES:
+        raise ConfigError(f"unknown figure {figure!r}; expected 1, 2 or 3")
+    axis, values, num_bs, num_jam, length, correlation = _FIGURES[figure]
+    base = TrainingConfig(
+        num_bs_antennas=num_bs,
+        num_jammer_antennas=num_jam,
+        pilot_length=length,
+        bs_power_db=5.0,
+        jammer_power_db=5.0,
+        noise_variance=1.0,
+        bs_correlation=correlation,
+    )
+    return ExperimentSpec(
+        base=base,
+        sweep_axis=axis,
+        axis_values=tuple(values),
+        scenarios=_FIGURE_SCENARIOS,
+        monte_carlo_trials=monte_carlo_trials,
+        seed=seed,
+    )

@@ -26,6 +26,7 @@ from .training import (
     _closed_form,
     _jamming_term,
     _pilot_terms,
+    optimal_pilots,
 )
 
 __all__ = [
@@ -37,16 +38,12 @@ __all__ = [
 ]
 
 
-def optimal_jamming(jam_cov: ChannelCovariance, pilot_length: int) -> UnitaryBlock:
-    """Jamming aligned with the strongest eigenvectors of the jammer channel.
-
-    Maximizes ``trace(Z^H C Z)`` over all blocks with orthonormal columns;
-    the congruence ``Z^H C Z`` then equals the diagonal of the top
-    eigenvalues. The strategy only needs the jammer's own channel covariance
-    and the training length.
-    """
-    _check_block_length(pilot_length, jam_cov.size)
-    return UnitaryBlock(jam_cov.evd.eigenvectors[:, :pilot_length])
+# Eigen-optimal jamming, ``optimal_jamming(jam_cov, pilot_length)``: the
+# block of the strongest eigenvectors of the jammer's own channel, built
+# exactly like optimal pilots. By Ky Fan it maximizes ``trace(Z^H C Z)`` over
+# all blocks with orthonormal columns, and ``Z^H C Z`` is then the diagonal
+# of the top eigenvalues.
+optimal_jamming = optimal_pilots
 
 
 def single_shot_jamming(num_antennas: int, pilot_length: int) -> UnitaryBlock:

@@ -176,7 +176,8 @@ def optimal_pilots(bs_cov: ChannelCovariance, pilot_length: int) -> UnitaryBlock
 
     This is the MSE-minimizing unitary pilot design in the absence of a
     jammer: the columns are the first ``pilot_length`` eigenvectors in
-    descending-eigenvalue order (deterministic tie-break).
+    descending-eigenvalue order (deterministic tie-break). On the jammer's
+    covariance it is ``jammer.optimal_jamming``.
     """
     _check_block_length(pilot_length, bs_cov.size)
     return UnitaryBlock(bs_cov.evd.eigenvectors[:, :pilot_length])

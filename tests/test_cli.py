@@ -110,6 +110,22 @@ class TestMseCommand:
                   "--frobnicate", "1"])
         assert exc.value.code == 2
 
+    def test_monte_carlo_stream_is_pinned(self, capsys):
+        # The single-scenario command seeds one stream from --seed directly;
+        # a sweep's per-point stream would move the Monte-Carlo estimate.
+        code, out, _ = run_cli(
+            capsys,
+            ["mse", "--M", "16", "--L", "4", "--r", "0.7", "--pb-db", "5",
+             "--pilot", "random-unitary", "--jamming", "eigen-optimal",
+             "--trials", "2000", "--seed", "3"],
+        )
+        assert code == 0
+        fields = out.strip().splitlines()[1].split(",")
+        assert fields[:4] == ["4", "random-unitary", "eigen-optimal", "jammer-aware"]
+        assert [float(f) for f in fields[4:]] == pytest.approx(
+            [0.851869810701, 0.843014650874, 0.00748985513122], rel=1e-9
+        )
+
 
 class TestSweepCommand:
     def config_payload(self):
@@ -163,6 +179,23 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "unknown config keys" in err
+
+    @pytest.mark.parametrize(
+        ("key", "value"),
+        [("seed", None), ("monte_carlo_trials", [3]), ("axis_values", [2, None]),
+         ("axis_values", [2, 4.5])],
+        ids=["seed-null", "trials-list", "axis-value-null", "axis-value-fraction"],
+    )
+    def test_bad_count_exit_2_naming_key(self, capsys, tmp_path, key, value):
+        payload = self.config_payload()
+        payload[key] = value
+        config = tmp_path / "bad.json"
+        config.write_text(json.dumps(payload))
+        code, _, err = run_cli(
+            capsys, ["sweep", "--config", str(config), "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert key in err
 
     def test_singular_training_system_exit_1(self, capsys, tmp_path):
         payload = {

@@ -4,10 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fddjam import experiments
 from fddjam.experiments import (
     CSV_HEADER,
+    JAMMING_CHOICES,
+    SWEEP_AXES,
     ConfigError,
     ExperimentSpec,
     ResultRow,
@@ -24,13 +28,54 @@ from fddjam.experiments import (
     write_results,
 )
 from fddjam.linalg import _openblas_copies
-from fddjam.training import TrainingConfig
+from fddjam.training import ESTIMATOR_MODES, PILOT_DESIGNS, TrainingConfig
 
 
 def blas_counts_of_point(spec, axis_index):
     # Stands in for one grid point's evaluation: its "rows" are the live
     # thread counts of the OpenBLAS copies in the evaluating process.
     return [tuple(get() for get, _ in _openblas_copies())]
+
+
+@st.composite
+def valid_specs(draw):
+    """Random feasible specs on either axis, every scenario kind mixed in."""
+    axis = draw(st.sampled_from(SWEEP_AXES))
+    values = sorted(draw(st.lists(st.integers(1, 24), min_size=1, max_size=4, unique=True)))
+    if axis == "pilot_length":
+        num_bs = draw(st.integers(values[-1], 32))
+        length = draw(st.integers(1, num_bs))
+        longest = values[-1]
+    else:
+        length = draw(st.integers(1, values[0]))
+        num_bs = draw(st.integers(length, 32))
+        longest = length
+    db = st.floats(-50.0, 50.0)
+    correlation = st.floats(0.0, 1.0)
+    base = TrainingConfig(
+        num_bs_antennas=num_bs,
+        num_jammer_antennas=draw(st.integers(longest, 32)),
+        pilot_length=length,
+        bs_power_db=draw(db),
+        jammer_power_db=draw(db),
+        noise_variance=draw(st.floats(0.0, 10.0)),
+        bs_correlation=draw(correlation),
+        jammer_correlation=draw(st.none() | correlation),
+    )
+    scenario = st.builds(
+        Scenario,
+        st.sampled_from(PILOT_DESIGNS),
+        st.sampled_from(JAMMING_CHOICES),
+        st.sampled_from(ESTIMATOR_MODES),
+    )
+    return ExperimentSpec(
+        base=base,
+        sweep_axis=axis,
+        axis_values=tuple(values),
+        scenarios=tuple(draw(st.lists(scenario, min_size=1, max_size=4))),
+        monte_carlo_trials=draw(st.integers(0, 10**6)),
+        seed=draw(st.integers(0, 2**64)),
+    )
 
 
 def small_spec(trials=0, seed=0, scenarios=None):
@@ -291,6 +336,11 @@ class TestConfigSchema:
         spec = small_spec(trials=10, seed=4)
         assert spec_from_dict(spec_to_dict(spec)) == spec
 
+    @settings(max_examples=200, deadline=None)
+    @given(spec=valid_specs())
+    def test_json_round_trip_of_random_specs(self, spec):
+        assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+
     def test_defaults(self):
         spec = spec_from_dict(self.base_dict())
         assert spec.base.jammer_power_db == 5.0
@@ -319,16 +369,22 @@ class TestConfigSchema:
         with pytest.raises(ConfigError, match="missing config keys"):
             spec_from_dict(data)
 
-    def test_bs_antenna_sweep_requires_pilot_length(self):
+    @pytest.mark.parametrize(
+        ("axis", "values", "swept", "unswept", "size"),
+        [("bs_antennas", [16, 32], "num_bs_antennas", "pilot_length", 4),
+         ("pilot_length", [2, 4], "pilot_length", "num_bs_antennas", 12)],
+        ids=["bs_antennas", "pilot_length"],
+    )
+    def test_sweep_requires_unswept_size(self, axis, values, swept, unswept, size):
         data = self.base_dict()
-        data["sweep_axis"] = "bs_antennas"
-        data["axis_values"] = [16, 32]
+        data["sweep_axis"] = axis
+        data["axis_values"] = values
         del data["num_bs_antennas"]
-        with pytest.raises(ConfigError, match="pilot_length"):
+        with pytest.raises(ConfigError, match=rf"missing config keys: \['{unswept}'\]"):
             spec_from_dict(data)
-        data["pilot_length"] = 4
+        data[unswept] = size
         spec = spec_from_dict(data)
-        assert spec.base.num_bs_antennas == 16
+        assert getattr(spec.base, swept) == values[0]
 
     def test_invalid_physics_parameters_wrapped(self):
         data = self.base_dict()
