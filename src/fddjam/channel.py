@@ -7,15 +7,25 @@ independent coefficients.
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import HermitianEvd, as_complex_matrix, hermitian_evd
-from .tolerances import PSD_EIG_FLOOR, UNIT_DIAGONAL_ATOL
+from .tolerances import PSD_EIG_FLOOR, SPECTRUM_RANK_EPS, UNIT_DIAGONAL_ATOL
 
-__all__ = ["ChannelCovariance", "exponential_covariance"]
+__all__ = [
+    "ChannelCovariance",
+    "exponential_block",
+    "exponential_covariance",
+    "exponential_spectrum",
+]
+
+# Distinct (size, coefficient) spectra kept per process. The built-in figures
+# use 37; an entry is one float64 per antenna.
+_SPECTRUM_CACHE_SIZE = 128
 
 
 @dataclass(frozen=True)
@@ -60,15 +70,11 @@ class ChannelCovariance:
         return self.matrix.shape[0]
 
 
-def exponential_covariance(size: int, coefficient: float) -> ChannelCovariance:
-    """Covariance with entries ``coefficient ** |i - j|`` for a uniform array.
+def _checked_exponential(size: int, coefficient: float) -> tuple[int, float]:
+    """Validated ``(size, coefficient)`` of an exponential covariance.
 
-    ``coefficient = 0`` gives uncorrelated antennas (identity); values close
-    to one concentrate the spectrum in a few eigenmodes. Exactly one yields
-    the rank-one all-ones matrix, accepted with a ``RuntimeWarning``
-    (downstream estimation still works because the noise term regularizes
-    every inversion); for ``size = 1`` that matrix is the full-rank 1x1
-    identity and does not warn.
+    Warns on every request for a rank-one covariance (coefficient one, more
+    than one antenna), cached or not.
     """
     if int(size) != size or size < 1:
         raise ValueError(f"size must be a positive integer, got {size!r}")
@@ -79,8 +85,57 @@ def exponential_covariance(size: int, coefficient: float) -> ChannelCovariance:
         warnings.warn(
             "correlation coefficient 1 gives a rank-one (singular) covariance",
             RuntimeWarning,
-            stacklevel=2,
+            stacklevel=3,
         )
-    lags = np.arange(int(size))
-    matrix = (c ** lags)[np.abs(lags[:, None] - lags)].astype(np.complex128)
-    return ChannelCovariance.from_matrix(matrix)
+    return int(size), c
+
+
+def _exponential_toeplitz(size: int, c: float) -> np.ndarray:
+    # Real Toeplitz matrix c ** |i - j|, indexed by lag
+    lags = np.arange(size)
+    return (c ** lags)[np.abs(lags[:, None] - lags)]
+
+
+def exponential_covariance(size: int, coefficient: float) -> ChannelCovariance:
+    """Covariance with entries ``coefficient ** |i - j|`` for a uniform array.
+
+    ``coefficient = 0`` gives uncorrelated antennas (identity); values close
+    to one concentrate the spectrum in a few eigenmodes. Exactly one yields
+    the rank-one all-ones matrix, accepted with a ``RuntimeWarning``
+    (downstream estimation still works because the noise term regularizes
+    every inversion); for ``size = 1`` that matrix is the full-rank 1x1
+    identity and does not warn.
+    """
+    size, c = _checked_exponential(size, coefficient)
+    return ChannelCovariance.from_matrix(_exponential_toeplitz(size, c).astype(np.complex128))
+
+
+def exponential_block(size: int, coefficient: float, length: int) -> np.ndarray:
+    """Top-left ``length x length`` block of ``exponential_covariance(size, coefficient)``.
+
+    Real and Toeplitz; it warns like ``exponential_covariance``.
+    """
+    size, c = _checked_exponential(size, coefficient)
+    if int(length) != length or not 1 <= length <= size:
+        raise ValueError(f"block length must be an integer from 1 to {size}, got {length!r}")
+    return _exponential_toeplitz(int(length), c)
+
+
+def exponential_spectrum(size: int, coefficient: float) -> np.ndarray:
+    """Descending eigenvalues of ``exponential_covariance(size, coefficient)``.
+
+    Real ``eigvalsh`` of the real matrix, kept read-only in a bounded
+    per-process cache keyed by ``(size, coefficient)``; no eigenvectors and
+    no matrix are kept. Eigenvalues within round-off of zero (see
+    ``SPECTRUM_RANK_EPS``) are exact zeros. It warns like
+    ``exponential_covariance``.
+    """
+    return _cached_spectrum(*_checked_exponential(size, coefficient))
+
+
+@functools.lru_cache(maxsize=_SPECTRUM_CACHE_SIZE)
+def _cached_spectrum(size: int, c: float) -> np.ndarray:
+    w = np.linalg.eigvalsh(_exponential_toeplitz(size, c))[::-1]
+    w = np.where(w <= size * SPECTRUM_RANK_EPS * w[0], 0.0, w)
+    w.setflags(write=False)
+    return w

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from pathlib import Path
@@ -117,7 +118,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_figure(args) -> int:
-    spec = figure_spec(args.figure, monte_carlo_trials=args.trials, seed=args.seed)
+    spec = figure_spec(
+        args.figure,
+        monte_carlo_trials=_non_negative_int(args.trials, "--trials"),
+        seed=_non_negative_int(args.seed, "--seed"),
+    )
     _write_sweep(spec, args.out, f"figure{args.figure}")
     return 0
 
@@ -169,8 +174,12 @@ def _cmd_mse(args) -> int:
     trials = _non_negative_int(args.trials, "--trials")
     seed = _non_negative_int(args.seed, "--seed")
     row = _evaluate_scenario(
-        cfg, _covariances(cfg), Scenario(args.pilot, args.jamming, args.estimator),
-        trials, np.random.default_rng(np.random.SeedSequence(seed)), cfg.pilot_length,
+        cfg,
+        functools.partial(_covariances, cfg),
+        Scenario(args.pilot, args.jamming, args.estimator),
+        trials,
+        functools.partial(np.random.default_rng, np.random.SeedSequence(seed)),
+        cfg.pilot_length,
     )
     writer = csv.writer(sys.stdout, lineterminator="\n")
     writer.writerow(CSV_HEADER)

@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import os
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -22,13 +24,15 @@ import numpy as np
 
 from ._version import __version__
 from .channel import ChannelCovariance, exponential_covariance
-from .jammer import optimal_jamming, single_shot_jamming
+from .jammer import _eigen_jamming_term, optimal_jamming, single_shot_jamming
 from .linalg import _single_blas_thread
 from .training import (
     ESTIMATOR_MODES,
     PILOT_DESIGNS,
     TrainingConfig,
     UnitaryBlock,
+    _closed_form,
+    _eigen_pilot_terms,
     empirical_mse,
     optimal_pilots,
     random_unitary_pilots,
@@ -79,7 +83,8 @@ class ConfigError(ValueError):
 def _non_negative_int(value, name: str) -> int:
     """``value`` as an int, or ``ConfigError`` naming ``name``."""
     try:
-        valid = int(value) == value and value >= 0
+        # bool is an int subclass, but true is no count
+        valid = not isinstance(value, bool) and int(value) == value and value >= 0
     except (TypeError, ValueError, OverflowError):
         valid = False
     if not valid:
@@ -245,25 +250,42 @@ def _covariances(cfg: TrainingConfig) -> tuple[ChannelCovariance, ChannelCovaria
 
 def _evaluate_scenario(
     cfg: TrainingConfig,
-    covs: tuple[ChannelCovariance, ChannelCovariance],
+    covs: Callable[[], tuple[ChannelCovariance, ChannelCovariance]],
     scenario: Scenario,
     trials: int,
-    rng: np.random.Generator,
+    rng: Callable[[], np.random.Generator],
     axis_value: int,
 ) -> ResultRow:
     """Closed-form MSE of one scenario, plus its Monte-Carlo estimate when
-    ``trials > 0``; random pilots and the trials both draw from ``rng``."""
-    bs_cov, jam_cov = covs
-    pilots = _build_pilots(scenario.pilot_design, bs_cov, cfg.pilot_length, rng)
-    jamming = _build_jamming(scenario.jamming, jam_cov, cfg)
-    closed = scenario_closed_form_mse(
-        pilots, jamming, bs_cov, jam_cov, cfg, scenario.estimator_mode
-    )
+    ``trials > 0``.
+
+    Optimal and worst-case pilots take the closed form from the covariance
+    spectra alone. ``covs()`` returns the BS and jammer covariances and
+    ``rng()`` the point's generator, from which random pilots and then the
+    trials draw; both are called only when the scenario needs eigenvector
+    blocks, that is for random pilots or Monte-Carlo trials.
+    """
+    random_pilots = scenario.pilot_design == "random-unitary"
+    if random_pilots or trials > 0:
+        bs_cov, jam_cov = covs()
+        generator = rng()
+        pilots = _build_pilots(scenario.pilot_design, bs_cov, cfg.pilot_length, generator)
+        jamming = _build_jamming(scenario.jamming, jam_cov, cfg)
+    if random_pilots:
+        closed = scenario_closed_form_mse(
+            pilots, jamming, bs_cov, jam_cov, cfg, scenario.estimator_mode
+        )
+    else:
+        closed = _closed_form(
+            _eigen_pilot_terms(scenario.pilot_design, cfg),
+            _eigen_jamming_term(scenario.jamming, cfg),
+            scenario.estimator_mode == "jammer-aware",
+        )
     mse_mc = std_err = None
     if trials > 0:
         mc = empirical_mse(
             pilots, jamming, bs_cov, jam_cov, cfg,
-            trials=trials, rng=rng, estimator_mode=scenario.estimator_mode,
+            trials=trials, rng=generator, estimator_mode=scenario.estimator_mode,
         )
         mse_mc, std_err = mc.mean, mc.std_error
     return ResultRow(
@@ -280,12 +302,13 @@ def _evaluate_scenario(
 def _evaluate_axis_value(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     value = spec.axis_values[axis_index]
     cfg = config_for_point(spec.base, spec.sweep_axis, value)
-    covs = _covariances(cfg)
+    # built at most once, by the first scenario that needs them
+    covs = functools.cache(functools.partial(_covariances, cfg))
     first_point = axis_index * len(spec.scenarios)
     return [
         _evaluate_scenario(
             cfg, covs, scenario, spec.monte_carlo_trials,
-            _point_rng(spec.seed, first_point + scenario_index), value,
+            functools.partial(_point_rng, spec.seed, first_point + scenario_index), value,
         )
         for scenario_index, scenario in enumerate(spec.scenarios)
     ]
@@ -296,10 +319,14 @@ def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[Resul
 
     Rows come back ordered by (axis value, scenario index), one row per
     point. Each point consumes a random stream derived from the spec seed
-    and the point's index, and axis values may be evaluated across a process
-    pool (``workers`` argument, else the FDDJAM_WORKERS environment
-    variable, else the machine core count), so the output is identical
-    regardless of the parallelism degree.
+    and the point's index, so the output is identical regardless of the
+    parallelism degree.
+
+    Only a sweep with Monte-Carlo trials uses worker processes: its axis
+    values may be evaluated across a process pool of ``workers`` (argument,
+    else the FDDJAM_WORKERS environment variable, else the machine core
+    count). A closed-form sweep runs serially in the calling process, since
+    it costs less than starting the pool.
 
     The OpenBLAS bundled with numpy runs on one thread for the whole sweep,
     in the serial path and in the forked workers, and gets the caller's
@@ -310,7 +337,7 @@ def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[Resul
     n = len(spec.axis_values)
     workers = resolve_workers(workers, max_useful=n)
     with _single_blas_thread():
-        if workers > 1:
+        if workers > 1 and spec.monte_carlo_trials > 0:
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunks = list(pool.map(_evaluate_axis_value, [spec] * n, range(n)))
         else:

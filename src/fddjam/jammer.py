@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelCovariance
+from .channel import ChannelCovariance, exponential_block, exponential_spectrum
 from .linalg import haar_orthonormal_columns
 from .tolerances import KY_FAN_SLACK
 from .training import (
@@ -55,6 +55,27 @@ def single_shot_jamming(num_antennas: int, pilot_length: int) -> UnitaryBlock:
     """
     _check_block_length(pilot_length, num_antennas)
     return UnitaryBlock(np.eye(int(num_antennas), int(pilot_length), dtype=np.complex128))
+
+
+def _eigen_jamming_term(strategy: str, cfg: TrainingConfig) -> np.ndarray | None:
+    """Jamming term ``J`` of a strategy, from the exponential jammer covariance.
+
+    None for a silent jammer. Single-shot jamming sends the first ``L``
+    identity columns, so ``J = ρ·T_L``, the real top-left ``L x L`` block of
+    the jammer covariance. Eigen-optimal jamming sends the top eigenvectors,
+    so ``J = ρ·diag(μ_1..μ_L)``, returned as its diagonal. Here
+    ``ρ = jammer_power / bs_power`` as in ``_jamming_term``.
+    """
+    if strategy == "silent":
+        return None
+    if strategy not in ("single-shot", "eigen-optimal"):
+        raise ValueError(f"jamming strategy {strategy!r} has no eigenvalue form")
+    num_antennas, length = cfg.num_jammer_antennas, cfg.pilot_length
+    _check_block_length(length, num_antennas)
+    ratio = cfg.jammer_power / cfg.bs_power
+    if strategy == "single-shot":
+        return ratio * exponential_block(num_antennas, cfg.jammer_correlation, length)
+    return ratio * exponential_spectrum(num_antennas, cfg.jammer_correlation)[:length]
 
 
 def jamming_objective(jamming: UnitaryBlock, jam_cov: ChannelCovariance) -> float:
@@ -115,7 +136,8 @@ def verify_lemma(
 
     Both MSEs come from the training-length closed form that
     ``scenario_closed_form_mse`` uses; the pilot-side terms are computed once,
-    so each candidate costs one congruence ``Z^H C_jam Z`` and one solve.
+    so each candidate costs one congruence ``Z^H C_jam Z`` and one ``L x L``
+    solve.
     Meant for oracle-scale dimensions (tens of antennas, hundreds to
     thousands of samples).
     """
@@ -124,7 +146,7 @@ def verify_lemma(
     length = pilots.length
     z_opt = optimal_jamming(jam_cov, length)
     _check_dimensions(pilots, z_opt, bs_cov, jam_cov, cfg)
-    terms = _pilot_terms(pilots, bs_cov, cfg)
+    _, terms = _pilot_terms(pilots, bs_cov, cfg)
     optimal_objective = jamming_objective(z_opt, jam_cov)
     optimal_mse = _closed_form(
         terms, _jamming_term(z_opt.matrix, jam_cov, cfg), jammer_aware=True

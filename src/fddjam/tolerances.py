@@ -10,6 +10,12 @@ ORTHONORMAL_TOL = 1e-10
 # [PSD_EIG_FLOOR, 0] are round-off and get clamped to zero before sampling.
 PSD_EIG_FLOOR = -1e-12
 
+# An eigenvalue of a cached covariance spectrum at most ``size`` times this
+# times the largest eigenvalue is round-off of zero (numpy's ``matrix_rank``
+# rule, with float64 machine epsilon) and is stored as an exact zero, so a
+# diagonal training system built on it fails like a Cholesky factorization.
+SPECTRUM_RANK_EPS = 2.220446049250313e-16
+
 # Channel covariances carry unit path loss: diagonal entries must equal one.
 UNIT_DIAGONAL_ATOL = 1e-12
 

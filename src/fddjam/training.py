@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelCovariance
+from .channel import ChannelCovariance, exponential_spectrum
 from .linalg import (
     as_complex_matrix,
     haar_orthonormal_columns,
@@ -100,7 +100,7 @@ class TrainingConfig:
     def __post_init__(self) -> None:
         for field in ("num_bs_antennas", "num_jammer_antennas", "pilot_length"):
             value = getattr(self, field)
-            if int(value) != value or value < 1:
+            if isinstance(value, bool) or int(value) != value or value < 1:
                 raise ValueError(f"{field} must be a positive integer, got {value!r}")
         if self.pilot_length > self.num_bs_antennas:
             raise ValueError(
@@ -235,22 +235,49 @@ def _check_dimensions(
             )
 
 
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + a.conj().T)
+
+
+def _noise_term(cfg: TrainingConfig, length: int) -> float:
+    """Noise level ``noise_variance / (L * bs_power)`` of the scaled training system."""
+    if cfg.bs_power <= 0:
+        raise ValueError("BS training power must be positive for estimation")
+    return cfg.noise_variance / (length * cfg.bs_power)
+
+
 def _pilot_terms(pilots: UnitaryBlock, bs_cov: ChannelCovariance, cfg: TrainingConfig):
-    """Pilot-side terms of the received-block model: ``(CP, K, tr C)``.
+    """Pilot-side terms of a pilot block ``P``: ``CP`` and ``(K, B, tr C, M)``.
 
     Scaled by ``1 / (L * bs_power)``, the received block has covariance
     ``K + J`` with ``K = PᴴCP + noise_variance / (L * bs_power) * I`` and the
     jamming term ``J`` of ``_jamming_term``; its cross-covariance with the
-    channel is ``CP / sqrt(L * bs_power)``.
+    channel is ``CP / sqrt(L * bs_power)``. ``B = (CP)ᴴCP = PᴴC²P``; the
+    tuple is what ``_closed_form`` takes.
     """
-    if cfg.bs_power <= 0:
-        raise ValueError("BS training power must be positive for estimation")
     length = pilots.length
+    noise = _noise_term(cfg, length)
     cp = bs_cov.matrix @ pilots.matrix
-    k = pilots.matrix.conj().T @ cp + (
-        cfg.noise_variance / (length * cfg.bs_power)
-    ) * np.eye(length)
-    return cp, 0.5 * (k + k.conj().T), float(np.trace(bs_cov.matrix).real)
+    k = pilots.matrix.conj().T @ cp + noise * np.eye(length)
+    trace_c = float(np.trace(bs_cov.matrix).real)
+    return cp, (_hermitian_part(k), cp.conj().T @ cp, trace_c, bs_cov.size)
+
+
+def _eigen_pilot_terms(design: str, cfg: TrainingConfig):
+    """Closed-form inputs ``(K, B, tr C, M)`` of optimal or worst-case pilots.
+
+    Their columns are eigenvectors of the exponential BS covariance, so
+    ``K = diag(λ_sel) + noise * I`` and ``B = PᴴC²P = diag(λ_sel²)`` follow
+    from the selected eigenvalues ``λ_sel`` alone and are returned as their
+    diagonals; the unit diagonal makes ``tr C`` the antenna count.
+    """
+    if design not in ("optimal", "worst-case"):
+        raise ValueError(f"pilot design {design!r} has no eigenvalue form")
+    m, length = cfg.num_bs_antennas, cfg.pilot_length
+    noise = _noise_term(cfg, length)
+    spectrum = exponential_spectrum(m, cfg.bs_correlation)
+    selected = spectrum[:length] if design == "optimal" else spectrum[m - length:]
+    return selected + noise, selected * selected, float(m), m
 
 
 def _jamming_term(z: np.ndarray, jam_cov: ChannelCovariance, cfg: TrainingConfig) -> np.ndarray:
@@ -258,50 +285,58 @@ def _jamming_term(z: np.ndarray, jam_cov: ChannelCovariance, cfg: TrainingConfig
     return (cfg.jammer_power / cfg.bs_power) * (z.conj().T @ jam_cov.matrix @ z)
 
 
-def _estimator_solve(terms, jam: np.ndarray | None, jammer_aware: bool):
-    """One Cholesky solve with the ``K`` the estimator models.
+def _as_matrix(a: np.ndarray) -> np.ndarray:
+    """A closed-form input as a matrix; a 1-D input is the diagonal of one."""
+    return np.diag(a) if np.ndim(a) == 1 else a
 
-    A jammer-aware estimator models ``K + J``; a jammer-unaware one models
-    ``K`` and leaves ``J`` out. Returns ``(W, V)`` with ``W = K⁻¹PᴴC`` (the
-    MMSE filter times ``sqrt(L * bs_power)``) and ``V = K⁻¹J`` for the
-    left-out jamming term, or None when nothing is left out.
+
+def _closed_form(terms, jam, jammer_aware: bool) -> float:
+    """Per-antenna MSE from the ``L x L`` training system.
+
+    ``terms`` is ``(K, B, tr C, M)`` with ``B = PᴴC²P``; ``jam`` is the
+    jamming term ``J`` or None for a silent jammer. ``K``, ``B`` and ``J``
+    are each an ``L x L`` matrix or, when diagonal, the 1-D array of its
+    diagonal. With ``X = K_est⁻¹B`` for the ``K_est`` the estimator models
+    (``K + J`` when it is jammer-aware, else ``K``), the error-covariance
+    trace is ``tr C - tr X + tr(K⁻¹ J X)``, where the last term is the
+    jamming the estimator leaves out.
+
+    When every input is 1-D the system is solved elementwise; otherwise the
+    1-D inputs become diagonal matrices and one Cholesky-checked solve
+    serves both ``X`` and ``K⁻¹J``.
+
+    Raises ``numpy.linalg.LinAlgError`` when ``K_est`` is not positive
+    definite and ``ArithmeticError`` if the value is negative beyond
+    round-off tolerance (an internal-consistency failure).
     """
-    cp, k, _ = terms
-    ignored = None if jammer_aware else jam
-    if jammer_aware and jam is not None:
-        k = k + jam
-        k = 0.5 * (k + k.conj().T)
-    rhs = cp.conj().T if ignored is None else np.hstack([cp.conj().T, ignored])
-    solved = solve_hpd(k, rhs)
-    num_antennas = cp.shape[0]
-    return solved[:, :num_antennas], None if ignored is None else solved[:, num_antennas:]
-
-
-def _closed_form(terms, jam: np.ndarray | None, jammer_aware: bool) -> float:
-    """Per-antenna MSE from the training-length system.
-
-    With ``X = K⁻¹PᴴC²P`` for the ``K`` the estimator models, the
-    error-covariance trace is ``tr C - tr X + tr(K⁻¹ J X)``, where ``J`` is
-    the jamming term the estimator leaves out: none when it is jammer-aware
-    or the jammer is silent (``jam`` None).
-
-    Raises ``ArithmeticError`` if the value is negative beyond round-off
-    tolerance (an internal-consistency failure).
-    """
-    cp, _, trace_c = terms
-    w, v = _estimator_solve(terms, jam, jammer_aware)
-    x = w @ cp
-    value = trace_c - float(np.trace(x).real)
-    if v is not None:
-        # tr(K⁻¹ J X) as the elementwise product of K⁻¹J with Xᵀ
-        value += float(np.sum(v * x.T).real)
-    num_antennas = cp.shape[0]
+    k, b, trace_c, num_antennas = terms
+    leaves_out = not jammer_aware and jam is not None
+    inputs = (k, b) if jam is None else (k, b, jam)
+    if all(np.ndim(a) == 1 for a in inputs):
+        k_est = k + jam if jammer_aware and jam is not None else k
+        if not np.all(k_est > 0):
+            raise np.linalg.LinAlgError("matrix is not positive definite")
+        x = b / k_est
+        value = trace_c - float(np.sum(x))
+        if leaves_out:
+            value += float(np.sum((jam / k_est) * x))
+    else:
+        k, b = _as_matrix(k), _as_matrix(b)
+        jam = None if jam is None else _as_matrix(jam)
+        k_est = _hermitian_part(k + jam) if jammer_aware and jam is not None else k
+        length = k_est.shape[0]
+        solved = solve_hpd(k_est, np.hstack([b, jam]) if leaves_out else b)
+        x = solved[:, :length]
+        value = trace_c - float(np.trace(x).real)
+        if leaves_out:
+            # tr(K⁻¹ J X) as the elementwise product of K⁻¹J with Xᵀ
+            value += float(np.sum(solved[:, length:] * x.T).real)
     value /= num_antennas
     if value < MSE_NEGATIVE_FLOOR:
         raise ArithmeticError(
             f"closed-form MSE {value:.3e} is negative beyond tolerance"
         )
-    if v is not None:
+    if leaves_out:
         # a mismatched estimator's error can exceed the channel energy
         return max(value, 0.0)
     return min(max(value, 0.0), trace_c / num_antennas)
@@ -315,15 +350,15 @@ def _scenario_terms(
     cfg: TrainingConfig,
     estimator_mode: str,
 ):
-    """Checked estimator inputs: ``(pilot terms, J or None, jammer_aware)``."""
+    """Checked estimator inputs: ``(CP, pilot terms, J or None, jammer_aware)``."""
     if estimator_mode not in ESTIMATOR_MODES:
         raise ValueError(
             f"unknown estimator mode {estimator_mode!r}; expected one of {ESTIMATOR_MODES}"
         )
     _check_dimensions(pilots, jamming, bs_cov, jam_cov, cfg)
-    terms = _pilot_terms(pilots, bs_cov, cfg)
+    cp, terms = _pilot_terms(pilots, bs_cov, cfg)
     jam = None if jamming is None else _jamming_term(jamming.matrix, jam_cov, cfg)
-    return terms, jam, estimator_mode == "jammer-aware"
+    return cp, terms, jam, estimator_mode == "jammer-aware"
 
 
 def _mmse_filter(
@@ -336,11 +371,16 @@ def _mmse_filter(
 ) -> np.ndarray:
     """Linear estimator matrix ``A`` such that the estimate is ``A @ received``.
 
-    In ``jammer-unaware`` mode the filter is built without the jamming
-    statistics even when a jammer is present in the signal (model mismatch).
+    ``A = (K_est⁻¹PᴴC)ᴴ / sqrt(L * bs_power)``. In ``jammer-unaware`` mode
+    the filter is built without the jamming statistics even when a jammer is
+    present in the signal (model mismatch).
     """
-    checked = _scenario_terms(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
-    w, _ = _estimator_solve(*checked)
+    cp, (k, *_), jam, jammer_aware = _scenario_terms(
+        pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode
+    )
+    if jammer_aware and jam is not None:
+        k = _hermitian_part(k + jam)
+    w = solve_hpd(k, cp.conj().T)
     return w.conj().T / np.sqrt(pilots.length * cfg.bs_power)
 
 
@@ -364,8 +404,10 @@ def scenario_closed_form_mse(
     which requires a zero noise variance together with a rank-deficient
     pilot/covariance combination.
     """
-    checked = _scenario_terms(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
-    return _closed_form(*checked)
+    _, terms, jam, jammer_aware = _scenario_terms(
+        pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode
+    )
+    return _closed_form(terms, jam, jammer_aware)
 
 
 def empirical_mse(

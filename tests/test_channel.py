@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from fddjam.channel import ChannelCovariance, exponential_covariance
+from fddjam.channel import (
+    ChannelCovariance,
+    exponential_block,
+    exponential_covariance,
+    exponential_spectrum,
+)
 from fddjam.linalg import sample_complex_gaussian
 
 
@@ -69,6 +74,38 @@ class TestExponentialCovariance:
         cov = exponential_covariance(4, 0.5)
         with pytest.raises(ValueError):
             cov.matrix[0, 0] = 2.0
+
+
+class TestExponentialSpectrum:
+    @pytest.mark.parametrize(("n", "r"), [(1, 0.5), (12, 0.0), (12, 0.8), (100, 0.7)])
+    def test_matches_complex_evd(self, n, r):
+        expected = exponential_covariance(n, r).evd.eigenvalues
+        np.testing.assert_allclose(exponential_spectrum(n, r), expected, rtol=0, atol=1e-12)
+
+    def test_cached_and_read_only(self):
+        spectrum = exponential_spectrum(9, 0.6)
+        assert exponential_spectrum(9, 0.6) is spectrum
+        with pytest.raises(ValueError):
+            spectrum[0] = 0.0
+
+    def test_rank_one_warns_on_every_request(self):
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="rank-one"):
+                spectrum = exponential_spectrum(4, 1.0)
+        # the null eigenvalues are round-off of zero, stored as exact zeros
+        assert spectrum[0] == pytest.approx(4.0, abs=1e-12)
+        assert spectrum[1:].tolist() == [0.0] * 3
+
+    @pytest.mark.parametrize("bad", [(0, 0.5), (4, 1.5)])
+    def test_rejects_bad_input(self, bad):
+        with pytest.raises(ValueError):
+            exponential_spectrum(*bad)
+
+    def test_block_is_top_left_of_covariance(self):
+        block = exponential_block(7, 0.6, 3)
+        assert np.array_equal(block, exponential_covariance(7, 0.6).matrix[:3, :3].real)
+        with pytest.raises(ValueError, match="block length"):
+            exponential_block(3, 0.6, 4)
 
 
 class TestFromMatrix:

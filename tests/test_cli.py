@@ -183,8 +183,9 @@ class TestSweepCommand:
     @pytest.mark.parametrize(
         ("key", "value"),
         [("seed", None), ("monte_carlo_trials", [3]), ("axis_values", [2, None]),
-         ("axis_values", [2, 4.5])],
-        ids=["seed-null", "trials-list", "axis-value-null", "axis-value-fraction"],
+         ("axis_values", [2, 4.5]), ("monte_carlo_trials", True), ("seed", False)],
+        ids=["seed-null", "trials-list", "axis-value-null", "axis-value-fraction",
+             "trials-true", "seed-false"],
     )
     def test_bad_count_exit_2_naming_key(self, capsys, tmp_path, key, value):
         payload = self.config_payload()
@@ -246,6 +247,13 @@ class TestFigureCommand:
         with pytest.raises(SystemExit) as exc:
             main(["figure", "9", "--out", "/tmp"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--trials=-1", "--seed=-3"])
+    def test_bad_count_exit_2_naming_flag(self, capsys, tmp_path, flag):
+        code, _, err = run_cli(capsys, ["figure", "1", "--out", str(tmp_path), flag])
+        assert code == 2
+        assert flag.split("=")[0] in err
+        assert not (tmp_path / "figure1.csv").exists()
 
 
 class TestVerifyLemmaCommand:

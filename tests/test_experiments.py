@@ -1,6 +1,8 @@
 """Tests for sweep orchestration, persistence and the config schema."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,9 @@ from fddjam.experiments import (
 from fddjam.linalg import _openblas_copies
 from fddjam.training import ESTIMATOR_MODES, PILOT_DESIGNS, TrainingConfig
 
+# Closed-form figure rows stored with the benchmark, at 12 significant digits.
+REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
 
 def blas_counts_of_point(spec, axis_index):
     # Stands in for one grid point's evaluation: its "rows" are the live
@@ -38,7 +43,8 @@ def blas_counts_of_point(spec, axis_index):
 
 
 @st.composite
-def valid_specs(draw):
+def valid_specs(draw, correlation=st.floats(0.0, 1.0), noise=st.floats(0.0, 10.0),
+                trials=st.integers(0, 10**6)):
     """Random feasible specs on either axis, every scenario kind mixed in."""
     axis = draw(st.sampled_from(SWEEP_AXES))
     values = sorted(draw(st.lists(st.integers(1, 24), min_size=1, max_size=4, unique=True)))
@@ -51,14 +57,13 @@ def valid_specs(draw):
         num_bs = draw(st.integers(length, 32))
         longest = length
     db = st.floats(-50.0, 50.0)
-    correlation = st.floats(0.0, 1.0)
     base = TrainingConfig(
         num_bs_antennas=num_bs,
         num_jammer_antennas=draw(st.integers(longest, 32)),
         pilot_length=length,
         bs_power_db=draw(db),
         jammer_power_db=draw(db),
-        noise_variance=draw(st.floats(0.0, 10.0)),
+        noise_variance=draw(noise),
         bs_correlation=draw(correlation),
         jammer_correlation=draw(st.none() | correlation),
     )
@@ -73,7 +78,7 @@ def valid_specs(draw):
         sweep_axis=axis,
         axis_values=tuple(values),
         scenarios=tuple(draw(st.lists(scenario, min_size=1, max_size=4))),
-        monte_carlo_trials=draw(st.integers(0, 10**6)),
+        monte_carlo_trials=draw(trials),
         seed=draw(st.integers(0, 2**64)),
     )
 
@@ -197,9 +202,20 @@ class TestRunSweep:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_points_run_on_one_blas_thread(self, monkeypatch, workers):
+        # with trials, two workers evaluate the points in pool processes
         monkeypatch.setattr(experiments, "_evaluate_axis_value", blas_counts_of_point)
         single = (1,) * len(_openblas_copies())
-        assert run_sweep(small_spec(), workers=workers) == [single] * 3
+        assert run_sweep(small_spec(trials=10), workers=workers) == [single] * 3
+
+    def test_only_monte_carlo_sweeps_start_a_pool(self, monkeypatch):
+        class NoPool:
+            def __init__(self, *args, **kwargs):
+                raise RuntimeError("pool started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
+        assert run_sweep(small_spec(), workers=2) == run_sweep(small_spec(), workers=1)
+        with pytest.raises(RuntimeError, match="pool started"):
+            run_sweep(small_spec(trials=10), workers=2)
 
     def test_silent_curve_lower_bounds_jamming(self):
         spec = small_spec()
@@ -208,6 +224,20 @@ class TestRunSweep:
                     if r.pilot_design == "optimal"}
         for value in spec.axis_values:
             assert by_point[(value, "eigen-optimal")] >= by_point[(value, "silent")] - 1e-12
+
+    # Below unit correlation and above zero noise every training system is
+    # positive definite, so every random spec runs.
+    @settings(max_examples=20, deadline=None)
+    @given(spec=valid_specs(correlation=st.floats(0.0, 0.99), noise=st.floats(0.1, 10.0),
+                            trials=st.integers(1, 40)))
+    def test_monte_carlo_csv_bytes_independent_of_workers(self, spec):
+        with tempfile.TemporaryDirectory() as tmp:
+            data = []
+            for workers in (1, 2):
+                path = Path(tmp) / f"workers{workers}.csv"
+                write_results(run_sweep(spec, workers=workers), path)
+                data.append(path.read_bytes())
+        assert data[0] == data[1]
 
     def test_random_pilots_use_point_streams(self):
         scenarios = (Scenario("random-unitary", "silent"),)
@@ -415,3 +445,15 @@ class TestFigureSpecs:
     def test_unknown_figure(self):
         with pytest.raises(ConfigError, match="figure"):
             figure_spec(4)
+
+    @pytest.mark.parametrize("figure", [1, 2, 3])
+    def test_rows_match_benchmark_reference(self, figure):
+        reference = read_results(REFERENCE_DIR / f"figure{figure}.csv")
+        rows = run_sweep(figure_spec(figure))
+        labels = [(r.axis_value, r.pilot_design, r.jamming, r.estimator_mode) for r in rows]
+        assert labels == [
+            (r.axis_value, r.pilot_design, r.jamming, r.estimator_mode) for r in reference
+        ]
+        for row, ref in zip(rows, reference):
+            bound = 1e-12 * max(1.0, abs(ref.closed_form_mse))
+            assert abs(row.closed_form_mse - ref.closed_form_mse) <= bound, row

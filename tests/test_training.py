@@ -1,5 +1,7 @@
 """Tests for pilot design, MMSE estimation and the closed-form and Monte-Carlo MSE."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,13 +9,17 @@ from hypothesis import strategies as st
 
 import fddjam.training
 from fddjam.channel import ChannelCovariance, exponential_covariance
-from fddjam.jammer import optimal_jamming, single_shot_jamming
+from fddjam.experiments import JAMMING_CHOICES, Scenario, _covariances, _evaluate_scenario
+from fddjam.jammer import _eigen_jamming_term, optimal_jamming, single_shot_jamming
 from fddjam.linalg import haar_orthonormal_columns
 from fddjam.tolerances import HERMITIAN_ATOL
 from fddjam.training import (
     ESTIMATOR_MODES,
+    PILOT_DESIGNS,
     TrainingConfig,
     UnitaryBlock,
+    _closed_form,
+    _eigen_pilot_terms,
     _mmse_filter,
     empirical_mse,
     optimal_pilots,
@@ -70,6 +76,8 @@ class TestTrainingConfig:
             make_cfg(r=1.5)
         with pytest.raises(ValueError, match="num_bs_antennas"):
             make_cfg(M=0)
+        with pytest.raises(ValueError, match="pilot_length"):
+            make_cfg(L=True)
         with pytest.raises(ValueError, match="bs_power_db"):
             make_cfg(pb=float("nan"))
         with pytest.raises(ValueError, match="jammer_power_db"):
@@ -317,6 +325,109 @@ class TestOracleAgreement:
         closed = scenario_closed_form_mse(pilots, jam, cov, jcov, cfg, mode)
         oracle = full_dimension_mse(pilots, jam, cov, jcov, cfg, mode)
         assert abs(closed - oracle) <= 1e-10
+
+
+@st.composite
+def scenario_configs(draw):
+    """Random feasible training configurations whose systems are definite."""
+    m = draw(st.integers(1, 12), label="M")
+    n = draw(st.integers(1, 12), label="N")
+    return make_cfg(
+        M=m,
+        N=n,
+        L=draw(st.integers(1, min(m, n)), label="L"),
+        pb=draw(st.floats(-10.0, 20.0)),
+        pj=draw(st.floats(-10.0, 20.0)),
+        nv=draw(st.floats(0.1, 10.0)),
+        r=draw(st.floats(0.0, 0.99)),
+        rg=draw(st.floats(0.0, 0.99)),
+    )
+
+
+def row_mse(cfg, pilot, jamming, mode="jammer-aware", seed=0):
+    """Closed-form MSE of one scenario as a sweep computes it."""
+    row = _evaluate_scenario(
+        cfg, functools.partial(_covariances, cfg), Scenario(pilot, jamming, mode), 0,
+        functools.partial(np.random.default_rng, seed), cfg.pilot_length,
+    )
+    return row.closed_form_mse
+
+
+class TestEigenInputs:
+    """Closed-form inputs from eigenvalues against inputs built from blocks."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cfg=scenario_configs(),
+        pilot=st.sampled_from(["optimal", "worst-case"]),
+        jamming=st.sampled_from(JAMMING_CHOICES),
+        mode=st.sampled_from(ESTIMATOR_MODES),
+    )
+    def test_match_block_inputs_and_oracle(self, cfg, pilot, jamming, mode):
+        eigen = _closed_form(
+            _eigen_pilot_terms(pilot, cfg), _eigen_jamming_term(jamming, cfg),
+            mode == "jammer-aware",
+        )
+        cov, jcov = _covariances(cfg)
+        length = cfg.pilot_length
+        pilots = (optimal_pilots if pilot == "optimal" else worst_case_pilots)(cov, length)
+        jam = {
+            "silent": None,
+            "single-shot": single_shot_jamming(cfg.num_jammer_antennas, length),
+            "eigen-optimal": optimal_jamming(jcov, length),
+        }[jamming]
+        blocks = scenario_closed_form_mse(pilots, jam, cov, jcov, cfg, mode)
+        oracle = full_dimension_mse(pilots, jam, cov, jcov, cfg, mode)
+        assert abs(eigen - blocks) <= 1e-10
+        assert abs(eigen - oracle) <= 1e-10
+
+    def test_diagonal_system_with_zero_pivot_is_singular(self):
+        terms = (np.array([4.0, 0.0]), np.array([16.0, 0.0]), 4.0, 4)
+        with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+            _closed_form(terms, None, jammer_aware=True)
+
+    def test_unit_correlation_spectrum_gives_singular_noiseless_system(self):
+        cfg = make_cfg(M=4, N=4, L=2, nv=0.0, r=1.0)
+        with pytest.warns(RuntimeWarning, match="rank-one"):
+            terms = _eigen_pilot_terms("optimal", cfg)
+        with pytest.raises(np.linalg.LinAlgError):
+            _closed_form(terms, None, jammer_aware=True)
+
+
+class TestClosedFormInvariants:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        cfg=scenario_configs(),
+        pilot=st.sampled_from(PILOT_DESIGNS),
+        jamming=st.sampled_from(["single-shot", "eigen-optimal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_aware_bounds_and_jamming_order(self, cfg, pilot, jamming, seed):
+        silent = row_mse(cfg, pilot, "silent", seed=seed)
+        aware = row_mse(cfg, pilot, jamming, seed=seed)
+        unaware = row_mse(cfg, pilot, jamming, "jammer-unaware", seed=seed)
+        for value in (silent, aware):
+            assert 0.0 <= value <= 1.0  # tr C / M of a unit-diagonal covariance
+        assert aware >= silent - 1e-12  # jamming never lowers the MMSE
+        assert aware <= unaware + 1e-12  # the mismatched filter never beats it
+
+    # Under jamming neither order holds in general: the acceptance suite has a
+    # crossover against worst-case pilots.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        m=st.integers(1, 16),
+        pb=st.floats(-10.0, 20.0),
+        nv=st.floats(0.1, 10.0),
+        r=st.floats(0.0, 0.99),
+    )
+    def test_silent_optimal_pilots_improve_with_length(self, m, pb, nv, r):
+        optimal, worst = [], []
+        for length in range(1, m + 1):
+            cfg = make_cfg(M=m, N=m, L=length, pb=pb, nv=nv, r=r)
+            optimal.append(row_mse(cfg, "optimal", "silent"))
+            worst.append(row_mse(cfg, "worst-case", "silent"))
+        assert np.all(np.diff(optimal) <= 1e-12)
+        assert np.all(np.array(optimal) <= np.array(worst) + 1e-12)
 
 
 class TestMmseEstimate:
