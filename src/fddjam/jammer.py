@@ -146,7 +146,7 @@ def verify_lemma(
     length = pilots.length
     z_opt = optimal_jamming(jam_cov, length)
     _check_dimensions(pilots, z_opt, bs_cov, jam_cov, cfg)
-    _, terms = _pilot_terms(pilots, bs_cov, cfg)
+    terms = _pilot_terms(pilots, bs_cov, cfg)
     optimal_objective = jamming_objective(z_opt, jam_cov)
     optimal_mse = _closed_form(
         terms, _jamming_term(z_opt.matrix, jam_cov, cfg), jammer_aware=True

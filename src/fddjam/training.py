@@ -247,29 +247,30 @@ def _noise_term(cfg: TrainingConfig, length: int) -> float:
 
 
 def _pilot_terms(pilots: UnitaryBlock, bs_cov: ChannelCovariance, cfg: TrainingConfig):
-    """Pilot-side terms of a pilot block ``P``: ``CP`` and ``(K, B, tr C, M)``.
+    """Pilot-side terms ``(K, CP, tr C, M)`` of a pilot block ``P``.
 
     Scaled by ``1 / (L * bs_power)``, the received block has covariance
     ``K + J`` with ``K = PᴴCP + noise_variance / (L * bs_power) * I`` and the
     jamming term ``J`` of ``_jamming_term``; its cross-covariance with the
-    channel is ``CP / sqrt(L * bs_power)``. ``B = (CP)ᴴCP = PᴴC²P``; the
-    tuple is what ``_closed_form`` takes.
+    channel is ``CP / sqrt(L * bs_power)``. The tuple is what
+    ``_closed_form`` takes, with ``G = CP``.
     """
     length = pilots.length
     noise = _noise_term(cfg, length)
     cp = bs_cov.matrix @ pilots.matrix
     k = pilots.matrix.conj().T @ cp + noise * np.eye(length)
     trace_c = float(np.trace(bs_cov.matrix).real)
-    return cp, (_hermitian_part(k), cp.conj().T @ cp, trace_c, bs_cov.size)
+    return _hermitian_part(k), cp, trace_c, bs_cov.size
 
 
 def _eigen_pilot_terms(design: str, cfg: TrainingConfig):
-    """Closed-form inputs ``(K, B, tr C, M)`` of optimal or worst-case pilots.
+    """Closed-form inputs ``(K, G, tr C, M)`` of optimal or worst-case pilots.
 
     Their columns are eigenvectors of the exponential BS covariance, so
-    ``K = diag(λ_sel) + noise * I`` and ``B = PᴴC²P = diag(λ_sel²)`` follow
-    from the selected eigenvalues ``λ_sel`` alone and are returned as their
-    diagonals; the unit diagonal makes ``tr C`` the antenna count.
+    ``K = diag(λ_sel) + noise * I`` and, in the ``L``-dimensional eigenbasis,
+    ``G = diag(λ_sel)`` follow from the selected eigenvalues ``λ_sel`` alone
+    and are returned as their diagonals; the unit diagonal makes ``tr C``
+    the antenna count.
     """
     if design not in ("optimal", "worst-case"):
         raise ValueError(f"pilot design {design!r} has no eigenvalue form")
@@ -277,7 +278,7 @@ def _eigen_pilot_terms(design: str, cfg: TrainingConfig):
     noise = _noise_term(cfg, length)
     spectrum = exponential_spectrum(m, cfg.bs_correlation)
     selected = spectrum[:length] if design == "optimal" else spectrum[m - length:]
-    return selected + noise, selected * selected, float(m), m
+    return selected + noise, selected, float(m), m
 
 
 def _jamming_term(z: np.ndarray, jam_cov: ChannelCovariance, cfg: TrainingConfig) -> np.ndarray:
@@ -293,44 +294,48 @@ def _as_matrix(a: np.ndarray) -> np.ndarray:
 def _closed_form(terms, jam, jammer_aware: bool) -> float:
     """Per-antenna MSE from the ``L x L`` training system.
 
-    ``terms`` is ``(K, B, tr C, M)`` with ``B = PᴴC²P``; ``jam`` is the
-    jamming term ``J`` or None for a silent jammer. ``K``, ``B`` and ``J``
-    are each an ``L x L`` matrix or, when diagonal, the 1-D array of its
-    diagonal. With ``X = K_est⁻¹B`` for the ``K_est`` the estimator models
-    (``K + J`` when it is jammer-aware, else ``K``), the error-covariance
-    trace is ``tr C - tr X + tr(K⁻¹ J X)``, where the last term is the
-    jamming the estimator leaves out.
+    ``terms`` is ``(K, G, tr C, M)`` with ``GᴴG = PᴴC²P``; ``jam`` is the
+    jamming term ``J`` or None for a silent jammer. ``K`` and ``J`` are each
+    an ``L x L`` matrix and ``G`` has ``L`` columns (``CP``); each may
+    instead be the 1-D diagonal of a real diagonal ``L x L`` matrix. With
+    ``X = (K_est⁻¹Gᴴ)G`` for the ``K_est`` the estimator models (``K + J``
+    when it is jammer-aware, else ``K``), the error-covariance trace is
+    ``tr C - tr X + tr(K⁻¹ J X)``, where the last term is the jamming the
+    estimator leaves out.
 
     When every input is 1-D the system is solved elementwise; otherwise the
     1-D inputs become diagonal matrices and one Cholesky-checked solve
-    serves both ``X`` and ``K⁻¹J``.
+    serves both ``K_est⁻¹Gᴴ`` and ``K⁻¹J``. ``GᴴG`` is never formed: with a
+    rank-deficient ``C`` its round-off, amplified by ``K⁻¹J``, cost the
+    unaware value about 1e-10 against the full-dimension formula.
 
     Raises ``numpy.linalg.LinAlgError`` when ``K_est`` is not positive
     definite and ``ArithmeticError`` if the value is negative beyond
     round-off tolerance (an internal-consistency failure).
     """
-    k, b, trace_c, num_antennas = terms
+    k, g, trace_c, num_antennas = terms
     leaves_out = not jammer_aware and jam is not None
-    inputs = (k, b) if jam is None else (k, b, jam)
+    inputs = (k, g) if jam is None else (k, g, jam)
     if all(np.ndim(a) == 1 for a in inputs):
         k_est = k + jam if jammer_aware and jam is not None else k
         if not np.all(k_est > 0):
             raise np.linalg.LinAlgError("matrix is not positive definite")
-        x = b / k_est
+        x = (g * g) / k_est
         value = trace_c - float(np.sum(x))
         if leaves_out:
             value += float(np.sum((jam / k_est) * x))
     else:
-        k, b = _as_matrix(k), _as_matrix(b)
+        k, g = _as_matrix(k), _as_matrix(g)
         jam = None if jam is None else _as_matrix(jam)
         k_est = _hermitian_part(k + jam) if jammer_aware and jam is not None else k
-        length = k_est.shape[0]
-        solved = solve_hpd(k_est, np.hstack([b, jam]) if leaves_out else b)
-        x = solved[:, :length]
+        rows = g.shape[0]
+        rhs = g.conj().T
+        solved = solve_hpd(k_est, np.hstack([rhs, jam]) if leaves_out else rhs)
+        x = solved[:, :rows] @ g
         value = trace_c - float(np.trace(x).real)
         if leaves_out:
             # tr(K⁻¹ J X) as the elementwise product of K⁻¹J with Xᵀ
-            value += float(np.sum(solved[:, length:] * x.T).real)
+            value += float(np.sum(solved[:, rows:] * x.T).real)
     value /= num_antennas
     if value < MSE_NEGATIVE_FLOOR:
         raise ArithmeticError(
@@ -350,15 +355,15 @@ def _scenario_terms(
     cfg: TrainingConfig,
     estimator_mode: str,
 ):
-    """Checked estimator inputs: ``(CP, pilot terms, J or None, jammer_aware)``."""
+    """Checked estimator inputs: ``(pilot terms, J or None, jammer_aware)``."""
     if estimator_mode not in ESTIMATOR_MODES:
         raise ValueError(
             f"unknown estimator mode {estimator_mode!r}; expected one of {ESTIMATOR_MODES}"
         )
     _check_dimensions(pilots, jamming, bs_cov, jam_cov, cfg)
-    cp, terms = _pilot_terms(pilots, bs_cov, cfg)
+    terms = _pilot_terms(pilots, bs_cov, cfg)
     jam = None if jamming is None else _jamming_term(jamming.matrix, jam_cov, cfg)
-    return cp, terms, jam, estimator_mode == "jammer-aware"
+    return terms, jam, estimator_mode == "jammer-aware"
 
 
 def _mmse_filter(
@@ -375,7 +380,7 @@ def _mmse_filter(
     the filter is built without the jamming statistics even when a jammer is
     present in the signal (model mismatch).
     """
-    cp, (k, *_), jam, jammer_aware = _scenario_terms(
+    (k, cp, *_), jam, jammer_aware = _scenario_terms(
         pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode
     )
     if jammer_aware and jam is not None:
@@ -404,7 +409,7 @@ def scenario_closed_form_mse(
     which requires a zero noise variance together with a rank-deficient
     pilot/covariance combination.
     """
-    _, terms, jam, jammer_aware = _scenario_terms(
+    terms, jam, jammer_aware = _scenario_terms(
         pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode
     )
     return _closed_form(terms, jam, jammer_aware)

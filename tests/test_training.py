@@ -382,7 +382,7 @@ class TestEigenInputs:
         assert abs(eigen - oracle) <= 1e-10
 
     def test_diagonal_system_with_zero_pivot_is_singular(self):
-        terms = (np.array([4.0, 0.0]), np.array([16.0, 0.0]), 4.0, 4)
+        terms = (np.array([4.0, 0.0]), np.array([4.0, 0.0]), 4.0, 4)
         with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
             _closed_form(terms, None, jammer_aware=True)
 
