@@ -18,7 +18,6 @@ from .tolerances import PSD_EIG_FLOOR, SPECTRUM_RANK_EPS, UNIT_DIAGONAL_ATOL
 
 __all__ = [
     "ChannelCovariance",
-    "exponential_block",
     "exponential_covariance",
     "exponential_spectrum",
 ]
@@ -110,15 +109,14 @@ def exponential_covariance(size: int, coefficient: float) -> ChannelCovariance:
     return ChannelCovariance.from_matrix(_exponential_toeplitz(size, c).astype(np.complex128))
 
 
-def exponential_block(size: int, coefficient: float, length: int) -> np.ndarray:
+def _exponential_block(size: int, coefficient: float, length: int) -> np.ndarray:
     """Top-left ``length x length`` block of ``exponential_covariance(size, coefficient)``.
 
-    Real and Toeplitz; it warns like ``exponential_covariance``.
+    Real and Toeplitz; it warns like ``exponential_covariance``. The caller
+    checks that ``length`` is a valid block length for ``size``.
     """
-    size, c = _checked_exponential(size, coefficient)
-    if int(length) != length or not 1 <= length <= size:
-        raise ValueError(f"block length must be an integer from 1 to {size}, got {length!r}")
-    return _exponential_toeplitz(int(length), c)
+    _, c = _checked_exponential(size, coefficient)
+    return _exponential_toeplitz(length, c)
 
 
 def exponential_spectrum(size: int, coefficient: float) -> np.ndarray:

@@ -248,6 +248,13 @@ def _covariances(cfg: TrainingConfig) -> tuple[ChannelCovariance, ChannelCovaria
     )
 
 
+def _needs_blocks(scenario: Scenario, trials: int) -> bool:
+    """Whether a point builds covariances and eigenvector blocks, which is
+    what makes it cost more than a spectrum lookup: random pilots or
+    Monte-Carlo trials."""
+    return scenario.pilot_design == "random-unitary" or trials > 0
+
+
 def _evaluate_scenario(
     cfg: TrainingConfig,
     covs: Callable[[], tuple[ChannelCovariance, ChannelCovariance]],
@@ -266,7 +273,7 @@ def _evaluate_scenario(
     blocks, that is for random pilots or Monte-Carlo trials.
     """
     random_pilots = scenario.pilot_design == "random-unitary"
-    if random_pilots or trials > 0:
+    if _needs_blocks(scenario, trials):
         bs_cov, jam_cov = covs()
         generator = rng()
         pilots = _build_pilots(scenario.pilot_design, bs_cov, cfg.pilot_length, generator)
@@ -322,11 +329,13 @@ def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[Resul
     and the point's index, so the output is identical regardless of the
     parallelism degree.
 
-    Only a sweep with Monte-Carlo trials uses worker processes: its axis
+    Only a sweep whose points build eigenvector blocks, that is one with
+    Monte-Carlo trials or random pilots, uses worker processes: its axis
     values may be evaluated across a process pool of ``workers`` (argument,
     else the FDDJAM_WORKERS environment variable, else the machine core
-    count). A closed-form sweep runs serially in the calling process, since
-    it costs less than starting the pool.
+    count). Any other sweep reads only cached covariance spectra and runs
+    serially in the calling process; for the built-in figures that takes
+    less time than starting the pool.
 
     The OpenBLAS bundled with numpy runs on one thread for the whole sweep,
     in the serial path and in the forked workers, and gets the caller's
@@ -337,7 +346,9 @@ def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[Resul
     n = len(spec.axis_values)
     workers = resolve_workers(workers, max_useful=n)
     with _single_blas_thread():
-        if workers > 1 and spec.monte_carlo_trials > 0:
+        if workers > 1 and any(
+            _needs_blocks(scenario, spec.monte_carlo_trials) for scenario in spec.scenarios
+        ):
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 chunks = list(pool.map(_evaluate_axis_value, [spec] * n, range(n)))
         else:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelCovariance, exponential_block, exponential_spectrum
+from .channel import ChannelCovariance, _exponential_block, exponential_spectrum
 from .linalg import haar_orthonormal_columns
 from .tolerances import KY_FAN_SLACK
 from .training import (
@@ -74,7 +74,7 @@ def _eigen_jamming_term(strategy: str, cfg: TrainingConfig) -> np.ndarray | None
     _check_block_length(length, num_antennas)
     ratio = cfg.jammer_power / cfg.bs_power
     if strategy == "single-shot":
-        return ratio * exponential_block(num_antennas, cfg.jammer_correlation, length)
+        return ratio * _exponential_block(num_antennas, cfg.jammer_correlation, length)
     return ratio * exponential_spectrum(num_antennas, cfg.jammer_correlation)[:length]
 
 

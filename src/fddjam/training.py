@@ -291,6 +291,13 @@ def _as_matrix(a: np.ndarray) -> np.ndarray:
     return np.diag(a) if np.ndim(a) == 1 else a
 
 
+def _estimator_k(k: np.ndarray, jam: np.ndarray | None, jammer_aware: bool) -> np.ndarray:
+    """The ``K_est`` an estimator models: ``K + J`` when it is jammer-aware
+    and a jammer transmits, else ``K``. Inputs are both matrices or both
+    1-D diagonals."""
+    return _hermitian_part(k + jam) if jammer_aware and jam is not None else k
+
+
 def _closed_form(terms, jam, jammer_aware: bool) -> float:
     """Per-antenna MSE from the ``L x L`` training system.
 
@@ -317,7 +324,7 @@ def _closed_form(terms, jam, jammer_aware: bool) -> float:
     leaves_out = not jammer_aware and jam is not None
     inputs = (k, g) if jam is None else (k, g, jam)
     if all(np.ndim(a) == 1 for a in inputs):
-        k_est = k + jam if jammer_aware and jam is not None else k
+        k_est = _estimator_k(k, jam, jammer_aware)
         if not np.all(k_est > 0):
             raise np.linalg.LinAlgError("matrix is not positive definite")
         x = (g * g) / k_est
@@ -327,7 +334,7 @@ def _closed_form(terms, jam, jammer_aware: bool) -> float:
     else:
         k, g = _as_matrix(k), _as_matrix(g)
         jam = None if jam is None else _as_matrix(jam)
-        k_est = _hermitian_part(k + jam) if jammer_aware and jam is not None else k
+        k_est = _estimator_k(k, jam, jammer_aware)
         rows = g.shape[0]
         rhs = g.conj().T
         solved = solve_hpd(k_est, np.hstack([rhs, jam]) if leaves_out else rhs)
@@ -383,9 +390,7 @@ def _mmse_filter(
     (k, cp, *_), jam, jammer_aware = _scenario_terms(
         pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode
     )
-    if jammer_aware and jam is not None:
-        k = _hermitian_part(k + jam)
-    w = solve_hpd(k, cp.conj().T)
+    w = solve_hpd(_estimator_k(k, jam, jammer_aware), cp.conj().T)
     return w.conj().T / np.sqrt(pilots.length * cfg.bs_power)
 
 

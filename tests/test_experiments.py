@@ -207,7 +207,7 @@ class TestRunSweep:
         single = (1,) * len(_openblas_copies())
         assert run_sweep(small_spec(trials=10), workers=workers) == [single] * 3
 
-    def test_only_monte_carlo_sweeps_start_a_pool(self, monkeypatch):
+    def test_only_block_building_sweeps_start_a_pool(self, monkeypatch):
         class NoPool:
             def __init__(self, *args, **kwargs):
                 raise RuntimeError("pool started")
@@ -216,6 +216,11 @@ class TestRunSweep:
         assert run_sweep(small_spec(), workers=2) == run_sweep(small_spec(), workers=1)
         with pytest.raises(RuntimeError, match="pool started"):
             run_sweep(small_spec(trials=10), workers=2)
+        random_pilots = small_spec(
+            scenarios=(Scenario("optimal", "silent"), Scenario("random-unitary", "silent"))
+        )
+        with pytest.raises(RuntimeError, match="pool started"):
+            run_sweep(random_pilots, workers=2)
 
     def test_silent_curve_lower_bounds_jamming(self):
         spec = small_spec()
