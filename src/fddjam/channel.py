@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianEvd, as_complex_matrix, hermitian_evd
+from .linalg import HermitianEvd, _count, as_complex_matrix, hermitian_evd
 from .tolerances import PSD_EIG_FLOOR, SPECTRUM_RANK_EPS, UNIT_DIAGONAL_ATOL
 
 __all__ = [
@@ -75,8 +75,7 @@ def _checked_exponential(size: int, coefficient: float) -> tuple[int, float]:
     Warns on every request for a rank-one covariance (coefficient one, more
     than one antenna), cached or not.
     """
-    if int(size) != size or size < 1:
-        raise ValueError(f"size must be a positive integer, got {size!r}")
+    size = _count(size, "size", 1)
     c = float(coefficient)
     if not 0.0 <= c <= 1.0:
         raise ValueError(f"correlation coefficient must lie in [0, 1], got {c}")
@@ -86,7 +85,7 @@ def _checked_exponential(size: int, coefficient: float) -> tuple[int, float]:
             RuntimeWarning,
             stacklevel=3,
         )
-    return int(size), c
+    return size, c
 
 
 def _exponential_toeplitz(size: int, c: float) -> np.ndarray:

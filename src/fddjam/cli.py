@@ -32,7 +32,6 @@ from .experiments import (
     _check_keys,
     _covariances,
     _evaluate_scenario,
-    _non_negative_int,
     _training_config_from_dict,
     figure_spec,
     row_fields,
@@ -41,7 +40,7 @@ from .experiments import (
     write_results,
 )
 from .jammer import verify_lemma
-from .linalg import _single_blas_thread
+from .linalg import _count, _single_blas_thread
 from .training import ESTIMATOR_MODES, PILOT_DESIGNS, TrainingConfig
 
 __all__ = ["build_parser", "main"]
@@ -120,8 +119,8 @@ def _cmd_sweep(args) -> int:
 def _cmd_figure(args) -> int:
     spec = figure_spec(
         args.figure,
-        monte_carlo_trials=_non_negative_int(args.trials, "--trials"),
-        seed=_non_negative_int(args.seed, "--seed"),
+        monte_carlo_trials=_count(args.trials, "--trials"),
+        seed=_count(args.seed, "--seed"),
     )
     _write_sweep(spec, args.out, f"figure{args.figure}")
     return 0
@@ -140,13 +139,12 @@ def _cmd_verify_lemma(args) -> int:
         raise ConfigError(
             f"pilot_design must be one of {PILOT_DESIGNS}, got {pilot_design!r}"
         )
-    num_random = _non_negative_int(data.get("num_random", 500), "num_random")
-    seed = _non_negative_int(data.get("seed", 0), "seed")
+    seed = _count(data.get("seed", 0), "seed")
 
     bs_cov, jam_cov = _covariances(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pilots = _build_pilots(pilot_design, bs_cov, cfg.pilot_length, rng)
-    verdict = verify_lemma(bs_cov, jam_cov, pilots, cfg, num_random, rng)
+    verdict = verify_lemma(bs_cov, jam_cov, pilots, cfg, data.get("num_random", 500), rng)
 
     def fmt(value):
         return "n/a" if value is None else format(value, ".12g")
@@ -171,8 +169,8 @@ def _cmd_mse(args) -> int:
         bs_correlation=args.r,
         jammer_correlation=args.rg,
     )
-    trials = _non_negative_int(args.trials, "--trials")
-    seed = _non_negative_int(args.seed, "--seed")
+    trials = _count(args.trials, "--trials")
+    seed = _count(args.seed, "--seed")
     row = _evaluate_scenario(
         cfg,
         functools.partial(_covariances, cfg),

@@ -25,7 +25,7 @@ import numpy as np
 from ._version import __version__
 from .channel import ChannelCovariance, exponential_covariance
 from .jammer import _eigen_jamming_term, optimal_jamming, single_shot_jamming
-from .linalg import _single_blas_thread
+from .linalg import _count, _one_blas_thread, _single_blas_thread
 from .training import (
     ESTIMATOR_MODES,
     PILOT_DESIGNS,
@@ -78,18 +78,6 @@ FIGURE_SEED = 1
 
 class ConfigError(ValueError):
     """Invalid experiment configuration: bad keys, values or dimensions."""
-
-
-def _non_negative_int(value, name: str) -> int:
-    """``value`` as an int, or ``ConfigError`` naming ``name``."""
-    try:
-        # bool is an int subclass, but true is no count
-        valid = not isinstance(value, bool) and int(value) == value and value >= 0
-    except (TypeError, ValueError, OverflowError):
-        valid = False
-    if not valid:
-        raise ConfigError(f"{name} must be a non-negative integer, got {value!r}")
-    return int(value)
 
 
 @dataclass(frozen=True)
@@ -156,7 +144,7 @@ class ExperimentSpec:
             raise ConfigError(
                 f"unknown sweep axis {self.sweep_axis!r}; expected one of {SWEEP_AXES}"
             )
-        values = tuple(_non_negative_int(v, "axis_values") for v in self.axis_values)
+        values = tuple(_count(v, "axis_values", error=ConfigError) for v in self.axis_values)
         if not values:
             raise ConfigError("axis_values must not be empty")
         if any(b <= a for a, b in zip(values, values[1:])):
@@ -169,11 +157,9 @@ class ExperimentSpec:
                 raise ConfigError(f"scenarios must contain Scenario values, got {entry!r}")
         object.__setattr__(self, "axis_values", values)
         object.__setattr__(self, "scenarios", scenarios)
-        object.__setattr__(
-            self, "monte_carlo_trials",
-            _non_negative_int(self.monte_carlo_trials, "monte_carlo_trials"),
-        )
-        object.__setattr__(self, "seed", _non_negative_int(self.seed, "seed"))
+        for field in ("monte_carlo_trials", "seed"):
+            value = _count(getattr(self, field), field, error=ConfigError)
+            object.__setattr__(self, field, value)
         for value in values:
             try:
                 cfg = config_for_point(self.base, self.sweep_axis, value)
@@ -338,10 +324,10 @@ def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[Resul
     less time than starting the pool.
 
     The OpenBLAS bundled with numpy runs on one thread for the whole sweep,
-    in the serial path and in the forked workers, and gets the caller's
-    thread count back afterwards. Parallelism comes only from
-    worker processes, so ``OPENBLAS_NUM_THREADS`` has no effect inside a
-    sweep. A non-OpenBLAS build is left alone.
+    in the serial path and in every worker, which pins itself as it starts,
+    and gets the caller's thread count back afterwards. Parallelism comes
+    only from worker processes, so ``OPENBLAS_NUM_THREADS`` has no effect
+    inside a sweep. A non-OpenBLAS build is left alone.
     """
     n = len(spec.axis_values)
     workers = resolve_workers(workers, max_useful=n)
@@ -349,7 +335,7 @@ def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[Resul
         if workers > 1 and any(
             _needs_blocks(scenario, spec.monte_carlo_trials) for scenario in spec.scenarios
         ):
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
                 chunks = list(pool.map(_evaluate_axis_value, [spec] * n, range(n)))
         else:
             chunks = [_evaluate_axis_value(spec, i) for i in range(n)]
@@ -552,7 +538,8 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
 
-    base = _training_config_from_dict({swept: axis_values[0], **data})
+    first = _count(axis_values[0], "axis_values", error=ConfigError)
+    base = _training_config_from_dict({swept: first, **data})
 
     return ExperimentSpec(
         base=base,

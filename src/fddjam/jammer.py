@@ -16,12 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelCovariance, _exponential_block, exponential_spectrum
-from .linalg import haar_orthonormal_columns
+from .linalg import _count, haar_orthonormal_columns
 from .tolerances import KY_FAN_SLACK
 from .training import (
     TrainingConfig,
+    _BLOCK_LENGTH,
     UnitaryBlock,
-    _check_block_length,
     _check_dimensions,
     _closed_form,
     _jamming_term,
@@ -53,8 +53,9 @@ def single_shot_jamming(num_antennas: int, pilot_length: int) -> UnitaryBlock:
     columns); the antenna permutation is irrelevant for unit-diagonal
     covariances, where every choice yields the same received power.
     """
-    _check_block_length(pilot_length, num_antennas)
-    return UnitaryBlock(np.eye(int(num_antennas), int(pilot_length), dtype=np.complex128))
+    num_antennas = _count(num_antennas, "num_antennas", 1)
+    pilot_length = _count(pilot_length, _BLOCK_LENGTH, 1, num_antennas)
+    return UnitaryBlock(np.eye(num_antennas, pilot_length, dtype=np.complex128))
 
 
 def _eigen_jamming_term(strategy: str, cfg: TrainingConfig) -> np.ndarray | None:
@@ -70,8 +71,8 @@ def _eigen_jamming_term(strategy: str, cfg: TrainingConfig) -> np.ndarray | None
         return None
     if strategy not in ("single-shot", "eigen-optimal"):
         raise ValueError(f"jamming strategy {strategy!r} has no eigenvalue form")
-    num_antennas, length = cfg.num_jammer_antennas, cfg.pilot_length
-    _check_block_length(length, num_antennas)
+    num_antennas = cfg.num_jammer_antennas
+    length = _count(cfg.pilot_length, _BLOCK_LENGTH, 1, num_antennas)
     ratio = cfg.jammer_power / cfg.bs_power
     if strategy == "single-shot":
         return ratio * _exponential_block(num_antennas, cfg.jammer_correlation, length)
@@ -141,8 +142,7 @@ def verify_lemma(
     Meant for oracle-scale dimensions (tens of antennas, hundreds to
     thousands of samples).
     """
-    if int(num_random) != num_random or num_random < 0:
-        raise ValueError(f"num_random must be a non-negative integer, got {num_random!r}")
+    num_random = _count(num_random, "num_random")
     length = pilots.length
     z_opt = optimal_jamming(jam_cov, length)
     _check_dimensions(pilots, z_opt, bs_cov, jam_cov, cfg)
@@ -154,7 +154,7 @@ def verify_lemma(
 
     best_objective: float | None = None
     best_mse: float | None = None
-    for _ in range(int(num_random)):
+    for _ in range(num_random):
         z = haar_orthonormal_columns(jam_cov.size, length, rng)
         objective = _trace_objective(z, jam_cov)
         mse = _closed_form(terms, _jamming_term(z, jam_cov, cfg), jammer_aware=True)
@@ -174,6 +174,6 @@ def verify_lemma(
         optimal_mse=optimal_mse,
         best_random_objective=best_objective,
         best_random_mse=best_mse,
-        num_samples=int(num_random),
+        num_samples=num_random,
         mse_counterexample_found=found,
     )

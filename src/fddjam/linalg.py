@@ -9,6 +9,7 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -25,6 +26,21 @@ __all__ = [
     "sample_complex_gaussian",
     "solve_hpd",
 ]
+
+
+def _count(value, name: str, low: int = 0, high: float = math.inf, error=ValueError) -> int:
+    """``value`` as an ``int`` from ``low`` to ``high``, else ``error`` naming ``name``.
+
+    An int, a numpy integer or an integral float is a count; a bool (an int
+    subclass, but true is no count), None, a string or a fraction is not.
+    """
+    integral = isinstance(value, (int, np.integer)) or (
+        isinstance(value, (float, np.floating)) and value.is_integer()
+    )
+    if integral and not isinstance(value, bool) and low <= value <= high:
+        return int(value)
+    bounds = f"from {low} to {high}" if high < math.inf else f">= {low}"
+    raise error(f"{name} must be an integer {bounds}, got {value!r}")
 
 
 def as_complex_matrix(a, *, name: str = "matrix") -> np.ndarray:
@@ -163,9 +179,7 @@ def sample_complex_gaussian(
         raise ValueError(
             f"covariance is not positive semidefinite (min eigenvalue {w.min():.3e})"
         )
-    k = 1 if size is None else int(size)
-    if k < 0:
-        raise ValueError(f"size must be non-negative, got {size}")
+    k = 1 if size is None else _count(size, "size")
     scale = np.sqrt(np.clip(w, 0.0, None))
     e = np.sqrt(0.5) * (
         rng.standard_normal((evd.size, k)) + 1j * rng.standard_normal((evd.size, k))
@@ -186,8 +200,8 @@ def haar_orthonormal_columns(
     A rank-deficient draw (probability zero) is retried up to three times
     before raising ``numpy.linalg.LinAlgError``.
     """
-    if not 1 <= cols <= rows:
-        raise ValueError(f"need 1 <= cols <= rows, got rows={rows}, cols={cols}")
+    rows = _count(rows, "rows", 1)
+    cols = _count(cols, "cols", 1, rows)
     for _ in range(3):
         x = np.sqrt(0.5) * (
             rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
@@ -227,16 +241,22 @@ def _openblas_copies() -> tuple:
     return tuple(copies)
 
 
+def _one_blas_thread() -> None:
+    """Run every bundled OpenBLAS of this process on one thread.
+
+    Also a process pool's worker initializer: a worker started by ``spawn``
+    or ``forkserver`` does not inherit its parent's thread count.
+    """
+    for _, set_ in _openblas_copies():
+        set_(1)
+
+
 @contextlib.contextmanager
 def _single_blas_thread():
-    """Run every bundled OpenBLAS on one thread, then restore the counts.
-
-    Worker processes forked inside the block inherit the single thread.
-    """
+    """Run every bundled OpenBLAS on one thread, then restore the counts."""
     copies = _openblas_copies()
     saved = [get() for get, _ in copies]
-    for _, set_ in copies:
-        set_(1)
+    _one_blas_thread()
     try:
         yield
     finally:

@@ -20,6 +20,7 @@ import numpy as np
 
 from .channel import ChannelCovariance, exponential_spectrum
 from .linalg import (
+    _count,
     as_complex_matrix,
     haar_orthonormal_columns,
     require_orthonormal_columns,
@@ -46,6 +47,9 @@ PILOT_DESIGNS = ("optimal", "worst-case", "random-unitary")
 # "jammer-aware" matches the closed-form error statistics; "jammer-unaware"
 # builds the estimator without the jamming statistics (model mismatch).
 ESTIMATOR_MODES = ("jammer-aware", "jammer-unaware")
+
+# A block spans at most one symbol per antenna of its transmitter.
+_BLOCK_LENGTH = "pilot_length (at most the transmitter's antennas)"
 
 # Monte-Carlo trials per spawned stream; changing it changes every MC result.
 _MC_CHUNK = 4096
@@ -98,15 +102,12 @@ class TrainingConfig:
     jammer_correlation: float | None = None
 
     def __post_init__(self) -> None:
-        for field in ("num_bs_antennas", "num_jammer_antennas", "pilot_length"):
-            value = getattr(self, field)
-            if isinstance(value, bool) or int(value) != value or value < 1:
-                raise ValueError(f"{field} must be a positive integer, got {value!r}")
-        if self.pilot_length > self.num_bs_antennas:
-            raise ValueError(
-                f"pilot_length {self.pilot_length} exceeds "
-                f"num_bs_antennas {self.num_bs_antennas}"
-            )
+        for field in ("num_bs_antennas", "num_jammer_antennas"):
+            object.__setattr__(self, field, _count(getattr(self, field), field, 1))
+        object.__setattr__(
+            self, "pilot_length",
+            _count(self.pilot_length, _BLOCK_LENGTH, 1, self.num_bs_antennas),
+        )
         if not 0 <= self.noise_variance < math.inf:
             raise ValueError(
                 f"noise_variance must be finite and >= 0, got {self.noise_variance}"
@@ -162,15 +163,6 @@ class MonteCarloMse:
     trials: int
 
 
-def _check_block_length(pilot_length: int, num_antennas: int) -> None:
-    """A block spans at most one symbol per antenna of the transmitter."""
-    if int(pilot_length) != pilot_length or not 1 <= pilot_length <= num_antennas:
-        raise ValueError(
-            f"pilot_length must be an integer from 1 to the {num_antennas} "
-            f"antennas of the transmitter, got {pilot_length!r}"
-        )
-
-
 def optimal_pilots(bs_cov: ChannelCovariance, pilot_length: int) -> UnitaryBlock:
     """Pilots spanning the strongest eigenvectors of the BS channel covariance.
 
@@ -179,14 +171,13 @@ def optimal_pilots(bs_cov: ChannelCovariance, pilot_length: int) -> UnitaryBlock
     descending-eigenvalue order (deterministic tie-break). On the jammer's
     covariance it is ``jammer.optimal_jamming``.
     """
-    _check_block_length(pilot_length, bs_cov.size)
+    pilot_length = _count(pilot_length, _BLOCK_LENGTH, 1, bs_cov.size)
     return UnitaryBlock(bs_cov.evd.eigenvectors[:, :pilot_length])
 
 
 def worst_case_pilots(bs_cov: ChannelCovariance, pilot_length: int) -> UnitaryBlock:
     """Pilots spanning the weakest eigenvectors: the MSE-maximizing benchmark."""
-    _check_block_length(pilot_length, bs_cov.size)
-    start = bs_cov.size - pilot_length
+    start = bs_cov.size - _count(pilot_length, _BLOCK_LENGTH, 1, bs_cov.size)
     return UnitaryBlock(bs_cov.evd.eigenvectors[:, start:])
 
 
@@ -194,7 +185,8 @@ def random_unitary_pilots(
     num_antennas: int, pilot_length: int, rng: np.random.Generator
 ) -> UnitaryBlock:
     """Haar-random orthonormal pilot columns (baseline design)."""
-    _check_block_length(pilot_length, num_antennas)
+    num_antennas = _count(num_antennas, "num_antennas", 1)
+    pilot_length = _count(pilot_length, _BLOCK_LENGTH, 1, num_antennas)
     return UnitaryBlock(haar_orthonormal_columns(num_antennas, pilot_length, rng))
 
 
@@ -440,8 +432,7 @@ def empirical_mse(
     depends only on the generator state and ``trials``, not on how chunks are
     scheduled. The mean uses numpy's pairwise summation.
     """
-    if int(trials) != trials or trials < 1:
-        raise ValueError(f"trials must be a positive integer, got {trials!r}")
+    trials = _count(trials, "trials", 1)
     a = _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
     length = pilots.length
     bs_gain = np.sqrt(length * cfg.bs_power) * pilots.matrix.conj().T
@@ -451,7 +442,6 @@ def empirical_mse(
     noise_scale = np.sqrt(cfg.noise_variance * 0.5)
     m = cfg.num_bs_antennas
 
-    trials = int(trials)
     per_trial = np.empty(trials)
     n_chunks = -(-trials // _MC_CHUNK)
     start = 0

@@ -1,16 +1,22 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import fddjam
 from fddjam import cli
 from fddjam.cli import main
+from fddjam import experiments
 from fddjam.experiments import load_metadata_spec, read_results
 from fddjam.linalg import _openblas_copies
 
@@ -179,6 +185,25 @@ class TestSweepCommand:
         )
         assert code == 2
         assert "unknown config keys" in err
+
+    @settings(max_examples=40, deadline=None)
+    @given(key=st.text(min_size=1), in_scenario=st.booleans())
+    def test_any_unknown_key_exit_2_naming_it(self, key, in_scenario):
+        known = (
+            experiments._SCENARIO_KEYS if in_scenario
+            else experiments._REQUIRED_KEYS | experiments._OPTIONAL_KEYS
+        )
+        assume(key not in known)
+        payload = self.config_payload()
+        (payload["scenarios"][-1] if in_scenario else payload)[key] = 1
+        stderr = io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(stderr):
+            config = Path(tmp) / "typo.json"
+            config.write_text(json.dumps(payload))
+            code = main(["sweep", "--config", str(config), "--out", tmp])
+            assert not (Path(tmp) / "typo.csv").exists()
+        assert code == 2
+        assert repr(key) in stderr.getvalue()
 
     @pytest.mark.parametrize(
         ("key", "value"),

@@ -1,7 +1,10 @@
 """Tests for sweep orchestration, persistence and the config schema."""
 
+import functools
 import json
 import tempfile
+from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
@@ -200,10 +203,20 @@ class TestRunSweep:
         parallel = run_sweep(spec, workers=2)
         assert serial == parallel
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_points_run_on_one_blas_thread(self, monkeypatch, workers):
-        # with trials, two workers evaluate the points in pool processes
+    @pytest.mark.parametrize(
+        ("workers", "start_method"), [(1, None), (2, None), (2, "spawn")],
+        ids=["1", "2", "2-spawn"],
+    )
+    def test_points_run_on_one_blas_thread(self, monkeypatch, workers, start_method):
+        # with trials, two workers evaluate the points in pool processes; a
+        # spawned worker reads OPENBLAS_NUM_THREADS, not its parent's count
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "2")
         monkeypatch.setattr(experiments, "_evaluate_axis_value", blas_counts_of_point)
+        if start_method is not None:
+            monkeypatch.setattr(
+                experiments, "ProcessPoolExecutor",
+                functools.partial(ProcessPoolExecutor, mp_context=get_context(start_method)),
+            )
         single = (1,) * len(_openblas_copies())
         assert run_sweep(small_spec(trials=10), workers=workers) == [single] * 3
 
