@@ -103,8 +103,16 @@ def exponential_covariance(size: int, coefficient: float) -> ChannelCovariance:
     (downstream estimation still works because the noise term regularizes
     every inversion); for ``size = 1`` that matrix is the full-rank 1x1
     identity and does not warn.
+
+    The result is read-only and kept in a two-entry per-process cache keyed
+    by ``(size, coefficient)``, so repeated requests share one EVD.
     """
-    size, c = _checked_exponential(size, coefficient)
+    return _cached_covariance(*_checked_exponential(size, coefficient))
+
+
+# Two entries: a point uses two covariances, the BS one and the jammer one.
+@functools.lru_cache(maxsize=2)
+def _cached_covariance(size: int, c: float) -> ChannelCovariance:
     return ChannelCovariance.from_matrix(_exponential_toeplitz(size, c).astype(np.complex128))
 
 

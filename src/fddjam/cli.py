@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import functools
 import json
 import sys
 from pathlib import Path
@@ -173,10 +172,9 @@ def _cmd_mse(args) -> int:
     seed = _count(args.seed, "--seed")
     row = _evaluate_scenario(
         cfg,
-        functools.partial(_covariances, cfg),
         Scenario(args.pilot, args.jamming, args.estimator),
         trials,
-        functools.partial(np.random.default_rng, np.random.SeedSequence(seed)),
+        np.random.SeedSequence(seed),
         cfg.pilot_length,
     )
     writer = csv.writer(sys.stdout, lineterminator="\n")

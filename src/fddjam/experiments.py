@@ -11,10 +11,8 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import functools
 import json
 import os
-from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -182,28 +180,24 @@ def config_for_point(base: TrainingConfig, sweep_axis: str, axis_value: int) -> 
 
 
 def resolve_workers(workers: int | None = None, *, max_useful: int | None = None) -> int:
-    """Parallelism degree: explicit argument, else FDDJAM_WORKERS, else cores."""
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV_VAR)
-        if env is not None and env.strip():
-            try:
-                workers = int(env)
-            except ValueError as exc:
-                raise ConfigError(
-                    f"{WORKERS_ENV_VAR} must be an integer, got {env!r}"
-                ) from exc
-        else:
-            workers = os.cpu_count() or 1
-    workers = max(1, int(workers))
+    """Parallelism degree: explicit argument, else FDDJAM_WORKERS, else cores.
+
+    Each must be a positive integer; anything else raises ``ConfigError``
+    naming ``workers`` or FDDJAM_WORKERS.
+    """
+    if workers is not None:
+        workers = _count(workers, "workers", 1, error=ConfigError)
+    elif (env := os.environ.get(WORKERS_ENV_VAR, "")).strip():
+        try:
+            workers = int(env)
+        except ValueError as exc:
+            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from exc
+        workers = _count(workers, WORKERS_ENV_VAR, 1, error=ConfigError)
+    else:
+        workers = os.cpu_count() or 1
     if max_useful is not None:
         workers = min(workers, max(1, max_useful))
     return workers
-
-
-def _point_rng(seed: int, point_index: int) -> np.random.Generator:
-    # One derived stream per (axis value, scenario) point: results cannot
-    # depend on scheduling order or on the parallelism degree.
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(point_index,)))
 
 
 def _build_pilots(
@@ -243,25 +237,22 @@ def _needs_blocks(scenario: Scenario, trials: int) -> bool:
 
 def _evaluate_scenario(
     cfg: TrainingConfig,
-    covs: Callable[[], tuple[ChannelCovariance, ChannelCovariance]],
     scenario: Scenario,
     trials: int,
-    rng: Callable[[], np.random.Generator],
+    seed: np.random.SeedSequence,
     axis_value: int,
 ) -> ResultRow:
     """Closed-form MSE of one scenario, plus its Monte-Carlo estimate when
     ``trials > 0``.
 
     Optimal and worst-case pilots take the closed form from the covariance
-    spectra alone. ``covs()`` returns the BS and jammer covariances and
-    ``rng()`` the point's generator, from which random pilots and then the
-    trials draw; both are called only when the scenario needs eigenvector
-    blocks, that is for random pilots or Monte-Carlo trials.
+    spectra alone. Random pilots and then the trials draw from a generator
+    seeded with ``seed``.
     """
     random_pilots = scenario.pilot_design == "random-unitary"
     if _needs_blocks(scenario, trials):
-        bs_cov, jam_cov = covs()
-        generator = rng()
+        bs_cov, jam_cov = _covariances(cfg)
+        generator = np.random.default_rng(seed)
         pilots = _build_pilots(scenario.pilot_design, bs_cov, cfg.pilot_length, generator)
         jamming = _build_jamming(scenario.jamming, jam_cov, cfg)
     if random_pilots:
@@ -295,13 +286,13 @@ def _evaluate_scenario(
 def _evaluate_axis_value(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
     value = spec.axis_values[axis_index]
     cfg = config_for_point(spec.base, spec.sweep_axis, value)
-    # built at most once, by the first scenario that needs them
-    covs = functools.cache(functools.partial(_covariances, cfg))
     first_point = axis_index * len(spec.scenarios)
+    # One derived stream per (axis value, scenario) point: results cannot
+    # depend on scheduling order or on the parallelism degree.
     return [
         _evaluate_scenario(
-            cfg, covs, scenario, spec.monte_carlo_trials,
-            functools.partial(_point_rng, spec.seed, first_point + scenario_index), value,
+            cfg, scenario, spec.monte_carlo_trials,
+            np.random.SeedSequence(spec.seed, spawn_key=(first_point + scenario_index,)), value,
         )
         for scenario_index, scenario in enumerate(spec.scenarios)
     ]

@@ -158,18 +158,15 @@ def solve_hpd(a, b) -> np.ndarray:
     return np.linalg.solve(a, rhs)
 
 
-def sample_complex_gaussian(
-    evd: HermitianEvd, rng: np.random.Generator, size: int | None = None
-) -> np.ndarray:
+def sample_complex_gaussian(evd: HermitianEvd, rng: np.random.Generator, size: int) -> np.ndarray:
     """Draw circularly symmetric complex Gaussian vectors.
 
     The covariance is supplied through its eigendecomposition; samples are
     ``U diag(sqrt(w)) e`` with ``e`` having i.i.d. unit-variance complex
     normal entries (independent real and imaginary parts of variance 1/2).
 
-    With ``size=None`` one vector of shape ``(n,)`` is returned, otherwise an
-    ``(n, size)`` array with one sample per column. Identical generator state
-    gives a bit-identical sample sequence.
+    Returns an ``(n, size)`` array with one sample per column. Identical
+    generator state gives a bit-identical sample sequence.
 
     Eigenvalues inside ``[PSD_EIG_FLOOR, 0]`` are clamped to zero; anything
     below the floor raises ``ValueError`` (covariance is not PSD).
@@ -179,13 +176,10 @@ def sample_complex_gaussian(
         raise ValueError(
             f"covariance is not positive semidefinite (min eigenvalue {w.min():.3e})"
         )
-    k = 1 if size is None else _count(size, "size")
+    shape = (evd.size, _count(size, "size"))
     scale = np.sqrt(np.clip(w, 0.0, None))
-    e = np.sqrt(0.5) * (
-        rng.standard_normal((evd.size, k)) + 1j * rng.standard_normal((evd.size, k))
-    )
-    out = evd.eigenvectors @ (scale[:, None] * e)
-    return out[:, 0] if size is None else out
+    e = np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    return evd.eigenvectors @ (scale[:, None] * e)
 
 
 def haar_orthonormal_columns(

@@ -30,6 +30,12 @@ class TestExponentialCovariance:
         assert np.array_equal(cov.matrix, np.ones((3, 3), dtype=complex))
         np.testing.assert_allclose(cov.evd.eigenvalues, [3.0, 0.0, 0.0], atol=1e-12)
 
+    def test_rank_one_warns_on_every_request(self):
+        # the second request is a cache hit and still warns
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="rank-one"):
+                exponential_covariance(4, 1.0)
+
     @pytest.mark.filterwarnings("error")
     def test_unit_coefficient_single_antenna_is_not_degenerate(self):
         cov = exponential_covariance(1, 1.0)
@@ -87,6 +93,10 @@ class TestExponentialSpectrum:
         assert exponential_spectrum(9, 0.6) is spectrum
         with pytest.raises(ValueError):
             spectrum[0] = 0.0
+        cov = exponential_covariance(9, 0.6)
+        assert exponential_covariance(9, 0.6) is cov
+        with pytest.raises(ValueError):
+            cov.matrix[0, 0] = 0.0
 
     def test_rank_one_warns_on_every_request(self):
         for _ in range(2):
@@ -141,5 +151,5 @@ class TestSampleChannel:
 
     def test_single_draw_shape(self):
         cov = exponential_covariance(5, 0.3)
-        v = sample_complex_gaussian(cov.evd, np.random.default_rng(1))
+        (v,) = sample_complex_gaussian(cov.evd, np.random.default_rng(1), size=1).T
         assert v.shape == (5,)

@@ -16,7 +16,13 @@ import pytest
 
 from fddjam.channel import exponential_covariance, exponential_spectrum
 from fddjam.cli import main
-from fddjam.experiments import ConfigError, ExperimentSpec, Scenario, spec_from_dict
+from fddjam.experiments import (
+    ConfigError,
+    ExperimentSpec,
+    Scenario,
+    resolve_workers,
+    spec_from_dict,
+)
 from fddjam.jammer import single_shot_jamming, verify_lemma
 from fddjam.linalg import _count, haar_orthonormal_columns, sample_complex_gaussian
 from fddjam.training import (
@@ -118,6 +124,10 @@ SPEC = [
      lambda v: sweep_config(num_jammer_antennas=v)),
     ("dict-pilot-length", "pilot_length", 1, 6, lambda v: sweep_config(pilot_length=v)),
 ]
+# The worker count: None asks resolve_workers for the default, and the
+# variable is read as a string, so each has its own bad values.
+WORKER_ARGUMENTS = [True, 2.5, "3", 0, -3]
+WORKER_VARIABLES = ["0", "-4", "2.5", "true"]
 # (id, flag, name in the error, low, high): flags of the CLI
 FLAGS = [
     ("figure-trials", ["figure", "1", "--out", "OUT"], "--trials", "--trials", 0, None),
@@ -143,13 +153,32 @@ def bad_values(low, high):
         for error, table in ((ValueError, LIBRARY), (ConfigError, SPEC))
         for entry, name, low, high, call in table
         for value in bad_values(low, high)
-        # None asks sample_complex_gaussian for one vector
-        if not (entry == "sample-size" and value is None)
     ],
 )
 def test_bad_count_raises_naming_it(call, error, name, value):
     with pytest.raises(error, match=re.escape(name)):
         call(value)
+
+
+@pytest.mark.parametrize("value", WORKER_ARGUMENTS, ids=repr)
+def test_bad_worker_argument_raises_naming_it(value):
+    with pytest.raises(ConfigError, match="workers"):
+        resolve_workers(value)
+
+
+@pytest.mark.parametrize("value", WORKER_VARIABLES)
+def test_bad_worker_variable_raises_naming_it(monkeypatch, value):
+    monkeypatch.setenv("FDDJAM_WORKERS", value)
+    with pytest.raises(ConfigError, match="FDDJAM_WORKERS"):
+        resolve_workers()
+
+
+def test_bad_worker_variable_exits_2(capsys, monkeypatch, tmp_path):
+    monkeypatch.setenv("FDDJAM_WORKERS", "0")
+    code, err = cli_exit(capsys, ["figure", "1", "--out", str(tmp_path)])
+    assert code == 2
+    assert "FDDJAM_WORKERS" in err
+    assert not list(tmp_path.iterdir())
 
 
 @pytest.mark.parametrize(
@@ -203,6 +232,12 @@ def test_rule_returns_int(value):
 def test_rule_rejects_non_counts(value):
     with pytest.raises(ValueError, match="count"):
         _count(value, "count")
+
+
+@pytest.mark.parametrize("value", [3, 3.0, np.int64(3)], ids=repr)
+def test_integral_worker_count_is_an_int(value):
+    workers = resolve_workers(value)
+    assert type(workers) is int and workers == 3
 
 
 def test_training_config_stores_ints():

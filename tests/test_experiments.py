@@ -1,5 +1,6 @@
 """Tests for sweep orchestration, persistence and the config schema."""
 
+import dataclasses
 import functools
 import json
 import tempfile
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fddjam import experiments
+from fddjam import channel, experiments
 from fddjam.experiments import (
     CSV_HEADER,
     JAMMING_CHOICES,
@@ -32,7 +33,7 @@ from fddjam.experiments import (
     spec_to_dict,
     write_results,
 )
-from fddjam.linalg import _openblas_copies
+from fddjam.linalg import _openblas_copies, hermitian_evd
 from fddjam.training import ESTIMATOR_MODES, PILOT_DESIGNS, TrainingConfig
 
 # Closed-form figure rows stored with the benchmark, at 12 significant digits.
@@ -234,6 +235,22 @@ class TestRunSweep:
         )
         with pytest.raises(RuntimeError, match="pool started"):
             run_sweep(random_pilots, workers=2)
+
+    def test_one_evd_per_distinct_covariance(self, monkeypatch):
+        # with M = N and one correlation, every point's BS and jammer
+        # covariances are the same matrix, built once per process
+        evds = []
+
+        def counted_evd(matrix):
+            evds.append(matrix.shape)
+            return hermitian_evd(matrix)
+
+        channel._cached_covariance.cache_clear()
+        monkeypatch.setattr(channel, "hermitian_evd", counted_evd)
+        base = dataclasses.replace(small_spec().base, num_bs_antennas=8)
+        spec = dataclasses.replace(small_spec(trials=10), base=base)
+        run_sweep(spec, workers=1)
+        assert evds == [(8, 8)]
 
     def test_silent_curve_lower_bounds_jamming(self):
         spec = small_spec()

@@ -132,7 +132,7 @@ class TestSolveHpd:
 class TestComplexGaussianSampling:
     def test_zero_covariance_gives_zero_vector(self):
         evd = hermitian_evd(np.zeros((4, 4)))
-        v = sample_complex_gaussian(evd, np.random.default_rng(0))
+        (v,) = sample_complex_gaussian(evd, np.random.default_rng(0), size=1).T
         assert v.shape == (4,)
         assert np.all(v == 0)
 
@@ -175,7 +175,7 @@ class TestComplexGaussianSampling:
     def test_rejects_negative_eigenvalue_below_floor(self):
         evd = HermitianEvd(np.array([1.0, -1e-11]), np.eye(2, dtype=complex))
         with pytest.raises(ValueError, match="semidefinite"):
-            sample_complex_gaussian(evd, np.random.default_rng(1))
+            sample_complex_gaussian(evd, np.random.default_rng(1), size=1)
 
 
 class TestHaarColumns:

@@ -1,7 +1,5 @@
 """Tests for pilot design, MMSE estimation and the closed-form and Monte-Carlo MSE."""
 
-import functools
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -347,8 +345,7 @@ def scenario_configs(draw):
 def row_mse(cfg, pilot, jamming, mode="jammer-aware", seed=0):
     """Closed-form MSE of one scenario as a sweep computes it."""
     row = _evaluate_scenario(
-        cfg, functools.partial(_covariances, cfg), Scenario(pilot, jamming, mode), 0,
-        functools.partial(np.random.default_rng, seed), cfg.pilot_length,
+        cfg, Scenario(pilot, jamming, mode), 0, np.random.SeedSequence(seed), cfg.pilot_length
     )
     return row.closed_form_mse
 
