@@ -239,7 +239,7 @@ def _evaluate_scenario(
     cfg: TrainingConfig,
     scenario: Scenario,
     trials: int,
-    seed: np.random.SeedSequence,
+    seed: np.random.SeedSequence | None,
     axis_value: int,
 ) -> ResultRow:
     """Closed-form MSE of one scenario, plus its Monte-Carlo estimate when
@@ -247,7 +247,8 @@ def _evaluate_scenario(
 
     Optimal and worst-case pilots take the closed form from the covariance
     spectra alone. Random pilots and then the trials draw from a generator
-    seeded with ``seed``.
+    seeded with ``seed``, which may be None for a point that draws nothing
+    (see ``_needs_blocks``).
     """
     random_pilots = scenario.pilot_design == "random-unitary"
     if _needs_blocks(scenario, trials):
@@ -284,18 +285,33 @@ def _evaluate_scenario(
 
 
 def _evaluate_axis_value(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
+    """Rows of one axis value; a failing point re-raises its exception
+    with the axis value and the scenario at the front of the message."""
     value = spec.axis_values[axis_index]
     cfg = config_for_point(spec.base, spec.sweep_axis, value)
     first_point = axis_index * len(spec.scenarios)
-    # One derived stream per (axis value, scenario) point: results cannot
-    # depend on scheduling order or on the parallelism degree.
-    return [
-        _evaluate_scenario(
-            cfg, scenario, spec.monte_carlo_trials,
-            np.random.SeedSequence(spec.seed, spawn_key=(first_point + scenario_index,)), value,
-        )
-        for scenario_index, scenario in enumerate(spec.scenarios)
-    ]
+    rows = []
+    for scenario_index, scenario in enumerate(spec.scenarios):
+        # One derived stream per (axis value, scenario) point: results cannot
+        # depend on scheduling order or on the parallelism degree. Points that
+        # draw nothing get no stream; the others keep their index.
+        seed = None
+        if _needs_blocks(scenario, spec.monte_carlo_trials):
+            seed = np.random.SeedSequence(
+                spec.seed, spawn_key=(first_point + scenario_index,)
+            )
+        try:
+            rows.append(
+                _evaluate_scenario(cfg, scenario, spec.monte_carlo_trials, seed, value)
+            )
+        except (ArithmeticError, ValueError) as exc:
+            # same type and args shape, so it still pickles out of a worker
+            exc.args = (
+                f"axis value {value}, scenario {scenario.pilot_design}/"
+                f"{scenario.jamming}/{scenario.estimator_mode}: {exc}",
+            )
+            raise
+    return rows
 
 
 def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[ResultRow]:

@@ -1,7 +1,10 @@
-"""Dense complex linear-algebra primitives shared by the whole library.
+"""Dense linear-algebra primitives shared by the whole library.
 
-Matrices are numpy ``complex128`` arrays. Channel vectors are one
-dimensional; batches of vectors are stacked column-wise.
+Covariances, eigenvectors, pilot and jamming blocks are numpy
+``complex128`` arrays. ``solve_hpd`` keeps a real system real: the
+closed form of eigenvector pilots reduces to real ``L x L`` systems.
+Channel vectors are one dimensional; batches of vectors are stacked
+column-wise.
 """
 
 from __future__ import annotations
@@ -45,7 +48,12 @@ def _count(value, name: str, low: int = 0, high: float = math.inf, error=ValueEr
 
 def as_complex_matrix(a, *, name: str = "matrix") -> np.ndarray:
     """Coerce ``a`` to a 2-d complex128 array, rejecting non-finite entries."""
-    arr = np.asarray(a, dtype=np.complex128)
+    return _finite_matrix(a, np.complex128, name)
+
+
+def _finite_matrix(a, dtype, name: str) -> np.ndarray:
+    """``a`` as a 2-d array of ``dtype``, rejecting non-finite entries."""
+    arr = np.asarray(a, dtype=dtype)
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -133,20 +141,26 @@ def solve_hpd(a, b) -> np.ndarray:
     is numpy's LU solve, which never forms the inverse explicitly. ``b`` may
     be a vector or a matrix of right-hand sides.
 
+    The system is solved in ``np.result_type(a, b)``, at least float64: a
+    real ``a`` with a real ``b`` is factored and solved in float64 and gives
+    a float64 ``x``; if either is complex, both are taken as complex128.
+
     Raises
     ------
     numpy.linalg.LinAlgError
         If the factorization fails, i.e. ``a`` is not positive definite.
     ValueError
-        On shape mismatch or non-Hermitian ``a``.
+        On shape mismatch, non-finite entries or non-Hermitian ``a``.
     """
-    a = as_complex_matrix(a, name="lhs")
+    a, rhs = np.asarray(a), np.asarray(b)
+    dtype = np.result_type(a, rhs, np.float64)
+    a = _finite_matrix(a, dtype, "lhs")
     if a.shape[0] != a.shape[1]:
         raise ValueError(f"lhs must be square, got shape {a.shape}")
     asymmetry = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
     if asymmetry > HERMITIAN_ATOL:
         raise ValueError(f"lhs is not Hermitian (max asymmetry {asymmetry:.3e})")
-    rhs = np.asarray(b, dtype=np.complex128)
+    rhs = rhs.astype(dtype, copy=False)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != a.shape[0]:
         raise ValueError(f"rhs shape {rhs.shape} does not match lhs shape {a.shape}")
     if not np.all(np.isfinite(rhs)):

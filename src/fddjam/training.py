@@ -302,9 +302,11 @@ def _closed_form(terms, jam, jammer_aware: bool) -> float:
     ``tr C - tr X + tr(K⁻¹ J X)``, where the last term is the jamming the
     estimator leaves out.
 
-    When every input is 1-D the system is solved elementwise; otherwise the
-    1-D inputs become diagonal matrices and one Cholesky-checked solve
-    serves both ``K_est⁻¹Gᴴ`` and ``K⁻¹J``. ``GᴴG`` is never formed: with a
+    When every input is 1-D the system is solved elementwise; otherwise a
+    1-D ``K`` or ``J`` becomes a diagonal matrix and one Cholesky-checked
+    solve serves both ``K_est⁻¹Gᴴ`` and ``K⁻¹J``, real when the inputs are;
+    a 1-D ``G`` then scales the solved columns instead of multiplying by
+    ``diag(G)``. ``GᴴG`` is never formed: with a
     rank-deficient ``C`` its round-off, amplified by ``K⁻¹J``, cost the
     unaware value about 1e-10 against the full-dimension formula.
 
@@ -324,13 +326,14 @@ def _closed_form(terms, jam, jammer_aware: bool) -> float:
         if leaves_out:
             value += float(np.sum((jam / k_est) * x))
     else:
-        k, g = _as_matrix(k), _as_matrix(g)
+        k = _as_matrix(k)
         jam = None if jam is None else _as_matrix(jam)
         k_est = _estimator_k(k, jam, jammer_aware)
         rows = g.shape[0]
-        rhs = g.conj().T
+        rhs = _as_matrix(g).conj().T
         solved = solve_hpd(k_est, np.hstack([rhs, jam]) if leaves_out else rhs)
-        x = solved[:, :rows] @ g
+        # a 1-D G scales columns: the same bits as a product with diag(G)
+        x = solved[:, :rows] * g if np.ndim(g) == 1 else solved[:, :rows] @ g
         value = trace_c - float(np.trace(x).real)
         if leaves_out:
             # tr(K⁻¹ J X) as the elementwise product of K⁻¹J with Xᵀ

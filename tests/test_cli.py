@@ -243,6 +243,26 @@ class TestSweepCommand:
         assert code == 1
         assert "not positive definite" in err
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_singular_sweep_names_failing_point(self, tmp_path, workers):
+        # a fresh interpreter, so the pool workers keep default warning filters
+        config = Path(__file__).resolve().parent / "data" / "singular-sweep.json"
+        env = dict(os.environ, FDDJAM_WORKERS=workers)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(fddjam.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "fddjam.cli", "sweep", "--config", str(config),
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 1, done.stderr
+        assert (
+            "error: axis value 2, scenario optimal/silent/jammer-aware: "
+            "matrix is not positive definite" in done.stderr
+        )
+        assert not (tmp_path / "singular-sweep.csv").exists()
+
     def test_missing_config_file_nonzero(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

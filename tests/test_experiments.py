@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import json
+import pickle
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from multiprocessing import get_context
@@ -38,6 +39,24 @@ from fddjam.training import ESTIMATOR_MODES, PILOT_DESIGNS, TrainingConfig
 
 # Closed-form figure rows stored with the benchmark, at 12 significant digits.
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
+
+# `fddjam figure 2 --trials 50`, written before points stopped building
+# seeds they do not draw from.
+FIGURE2_MC50 = Path(__file__).resolve().parent / "data" / "figure2-mc50.csv"
+
+
+@pytest.fixture
+def seed_sequences(monkeypatch):
+    """Spawn keys of the point seeds a sweep builds."""
+    built = []
+    seed_sequence = np.random.SeedSequence
+
+    def counted(*args, **kwargs):
+        built.append(kwargs.get("spawn_key"))
+        return seed_sequence(*args, **kwargs)
+
+    monkeypatch.setattr(np.random, "SeedSequence", counted)
+    return built
 
 
 def blas_counts_of_point(spec, axis_index):
@@ -281,6 +300,55 @@ class TestRunSweep:
         c = run_sweep(small_spec(seed=6, scenarios=scenarios), workers=1)
         assert a == b
         assert a != c
+
+
+class TestPointSeeds:
+    def test_closed_form_figures_build_no_seed(self, seed_sequences):
+        for figure in (1, 2, 3):
+            run_sweep(figure_spec(figure), workers=1)
+        assert seed_sequences == []
+
+    def test_monte_carlo_sweep_builds_one_seed_per_point(self, seed_sequences):
+        run_sweep(small_spec(trials=5), workers=1)
+        assert seed_sequences == [(point,) for point in range(9)]
+
+    def test_random_pilot_points_keep_their_stream_index(self, seed_sequences):
+        scenarios = (Scenario("optimal", "silent"), Scenario("random-unitary", "silent"))
+        run_sweep(small_spec(scenarios=scenarios), workers=1)
+        assert seed_sequences == [(1,), (3,), (5,)]
+
+    def test_monte_carlo_values_match_stored_run(self):
+        stored = read_results(FIGURE2_MC50)
+        rows = run_sweep(figure_spec(2, monte_carlo_trials=50))
+        assert [dataclasses.astuple(r)[:4] for r in rows] == [
+            dataclasses.astuple(r)[:4] for r in stored
+        ]
+        for field in ("closed_form_mse", "empirical_mse", "empirical_std_err"):
+            np.testing.assert_allclose(
+                [getattr(r, field) for r in rows],
+                [getattr(r, field) for r in stored],
+                rtol=1e-9, atol=0, err_msg=field,
+            )
+
+
+class TestFailingPoint:
+    # with trials, two workers raise in pool processes and pickle the error
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("error", [ArithmeticError, ValueError, np.linalg.LinAlgError])
+    def test_names_axis_value_and_scenario(self, monkeypatch, error, workers):
+        def fail(cfg, scenario, trials, seed, axis_value):
+            if axis_value == 4 and scenario.jamming == "eigen-optimal":
+                raise error("boom")
+            return real(cfg, scenario, trials, seed, axis_value)
+
+        real = experiments._evaluate_scenario
+        monkeypatch.setattr(experiments, "_evaluate_scenario", fail)
+        with pytest.raises(error) as caught:
+            run_sweep(small_spec(trials=3), workers=workers)
+        assert type(caught.value) is error
+        message = "axis value 4, scenario optimal/eigen-optimal/jammer-aware: boom"
+        assert str(caught.value) == message
+        assert str(pickle.loads(pickle.dumps(caught.value))) == message
 
 
 class TestWorkers:

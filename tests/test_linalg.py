@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fddjam import linalg
 from fddjam.linalg import (
@@ -127,6 +129,54 @@ class TestSolveHpd:
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             solve_hpd(np.eye(3), np.ones((4, 2)))
+
+    def test_real_system_gives_float64(self):
+        a = exp_corr(4, 0.5).real
+        x = solve_hpd(a, np.eye(4))
+        assert x.dtype == np.float64
+        np.testing.assert_allclose(a @ x, np.eye(4), atol=1e-12)
+
+    def test_real_lhs_with_complex_rhs_gives_complex128(self):
+        a = exp_corr(4, 0.5).real
+        b = np.ones((4, 2)) + 1j * np.arange(8).reshape(4, 2)
+        x = solve_hpd(a, b)
+        assert x.dtype == np.complex128
+        np.testing.assert_allclose(a @ x, b, atol=1e-12)
+
+    def test_complex_lhs_with_real_rhs_gives_complex128(self):
+        a = exp_corr(4, 0.5)
+        assert solve_hpd(a, np.eye(4)).dtype == np.complex128
+
+    @pytest.mark.parametrize(
+        "a", [-np.eye(3), np.ones((3, 3))], ids=["indefinite", "singular"]
+    )
+    def test_real_non_positive_definite_rejected(self, a):
+        with pytest.raises(np.linalg.LinAlgError, match="^matrix is not positive definite$"):
+            solve_hpd(a, np.eye(3))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_real_non_finite_lhs_rejected(self, bad):
+        a = np.eye(3)
+        a[1, 1] = bad
+        with pytest.raises(ValueError, match="lhs contains non-finite entries"):
+            solve_hpd(a, np.eye(3))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.integers(1, 24),
+        cols=st.integers(1, 6),
+        shift=st.floats(1e-3, 10.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_real_result_matches_complex_result(self, n, cols, shift, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.standard_normal((n, n))
+        a = x @ x.T + shift * np.eye(n)
+        b = rng.standard_normal((n, cols))
+        real = solve_hpd(a, b)
+        complex_ = solve_hpd(a.astype(np.complex128), b.astype(np.complex128))
+        assert real.dtype == np.float64
+        assert np.linalg.norm(real - complex_) <= HPD_RESIDUAL_RTOL * np.linalg.norm(complex_)
 
 
 class TestComplexGaussianSampling:

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 
 import fddjam.training
 from fddjam.channel import ChannelCovariance, exponential_covariance
-from fddjam.experiments import JAMMING_CHOICES, Scenario, _covariances, _evaluate_scenario
+from fddjam.experiments import (
+    JAMMING_CHOICES,
+    Scenario,
+    _covariances,
+    _evaluate_scenario,
+    config_for_point,
+    figure_spec,
+)
 from fddjam.jammer import _eigen_jamming_term, optimal_jamming, single_shot_jamming
 from fddjam.linalg import haar_orthonormal_columns
 from fddjam.tolerances import HERMITIAN_ATOL
@@ -389,6 +396,47 @@ class TestEigenInputs:
             terms = _eigen_pilot_terms("optimal", cfg)
         with pytest.raises(np.linalg.LinAlgError):
             _closed_form(terms, None, jammer_aware=True)
+
+
+def single_shot_figure_points():
+    """(config, scenario) of every single-shot row of figures 1-3."""
+    for figure in (1, 2, 3):
+        spec = figure_spec(figure)
+        for value in spec.axis_values:
+            cfg = config_for_point(spec.base, spec.sweep_axis, value)
+            for scenario in spec.scenarios:
+                if scenario.jamming == "single-shot":
+                    yield cfg, scenario
+
+
+class TestSingleShotRows:
+    """Single-shot rows are the closed-form rows that solve a real L x L system."""
+
+    @pytest.mark.parametrize("mode", ESTIMATOR_MODES)
+    def test_vector_g_equals_diagonal_matrix_bit_for_bit(self, mode):
+        points = list(single_shot_figure_points())
+        assert len(points) == 76
+        for cfg, scenario in points:
+            k, g, trace_c, m = _eigen_pilot_terms(scenario.pilot_design, cfg)
+            jam = _eigen_jamming_term(scenario.jamming, cfg)
+            aware = mode == "jammer-aware"
+            by_vector = _closed_form((k, g, trace_c, m), jam, aware)
+            by_matrix = _closed_form((k, np.diag(g), trace_c, m), jam, aware)
+            assert by_vector == by_matrix, (cfg, scenario)
+
+    def test_solve_stays_real(self, monkeypatch):
+        dtypes = []
+        solve = fddjam.training.solve_hpd
+
+        def spy(a, b):
+            x = solve(a, b)
+            dtypes.append((a.dtype, b.dtype, x.dtype))
+            return x
+
+        monkeypatch.setattr(fddjam.training, "solve_hpd", spy)
+        cfg, scenario = next(single_shot_figure_points())
+        row_mse(cfg, scenario.pilot_design, scenario.jamming)
+        assert dtypes == [(np.float64,) * 3]
 
 
 class TestClosedFormInvariants:
