@@ -1,8 +1,9 @@
-"""Spatial-correlation covariances of the channels, with their cached EVD.
+"""Spatial-correlation covariances of the channels and their eigendecompositions.
 
 Covers both links seen by the user terminal: base station to user and
 jammer to user. Both use the same exponential correlation family, with
-independent coefficients.
+independent coefficients. A ``ChannelCovariance`` carries its eigenpairs,
+which pilots, jamming blocks and Monte-Carlo draws all read.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import HermitianEvd, _count, as_complex_matrix, hermitian_evd
-from .tolerances import PSD_EIG_FLOOR, SPECTRUM_RANK_EPS, UNIT_DIAGONAL_ATOL
+from .linalg import _count, _finite_matrix
+from .tolerances import HERMITIAN_ATOL, PSD_EIG_FLOOR, SPECTRUM_RANK_EPS, UNIT_DIAGONAL_ATOL
 
 __all__ = [
     "ChannelCovariance",
@@ -29,30 +30,46 @@ _SPECTRUM_CACHE_SIZE = 128
 
 @dataclass(frozen=True)
 class ChannelCovariance:
-    """Hermitian PSD covariance of a channel vector, with cached EVD.
+    """Hermitian PSD covariance of a channel vector, with its eigendecomposition.
 
     The diagonal is normalized to one (path loss and shadow fading are folded
     into the transmit powers), so the trace equals the antenna count.
+    ``eigenvalues`` are real and in descending order; column ``i`` of
+    ``eigenvectors`` is the unit eigenvector paired with ``eigenvalues[i]``.
+    All three arrays are read-only; build one with ``from_matrix``.
     """
 
     matrix: np.ndarray
-    evd: HermitianEvd
+    eigenvalues: np.ndarray
+    eigenvectors: np.ndarray
 
     @classmethod
     def from_matrix(cls, matrix, *, unit_diagonal: bool = True) -> "ChannelCovariance":
-        """Validate a plain covariance matrix and wrap it with its EVD.
+        """Validate a plain covariance matrix and eigendecompose it.
+
+        The matrix is copied once, as complex128. It must be finite, square,
+        Hermitian within ``HERMITIAN_ATOL`` and positive semidefinite within
+        ``PSD_EIG_FLOOR``, else ``ValueError``. Ties between equal eigenvalues
+        keep the LAPACK (ascending) order via a stable sort, so degenerate
+        spectra still give a deterministic eigenbasis: the identity matrix
+        yields the standard basis in index order.
 
         ``unit_diagonal=False`` skips the unit path-loss check, for general
         PSD covariances used in stress tests.
         """
-        m = as_complex_matrix(matrix, name="covariance")
+        m = _finite_matrix(matrix, np.complex128, "covariance")
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"covariance must be square, got shape {m.shape}")
-        evd = hermitian_evd(m)
-        if evd.size and float(evd.eigenvalues.min()) < PSD_EIG_FLOOR:
+        if m.size:
+            asymmetry = float(np.max(np.abs(m - m.conj().T)))
+            if asymmetry > HERMITIAN_ATOL:
+                raise ValueError(f"matrix is not Hermitian (max asymmetry {asymmetry:.3e})")
+        w, v = np.linalg.eigh(m)
+        order = np.argsort(-w, kind="stable")
+        w, v = w[order], v[:, order]
+        if w.size and float(w.min()) < PSD_EIG_FLOOR:
             raise ValueError(
-                "covariance is not positive semidefinite "
-                f"(min eigenvalue {evd.eigenvalues.min():.3e})"
+                f"covariance is not positive semidefinite (min eigenvalue {w.min():.3e})"
             )
         if unit_diagonal:
             defect = float(np.max(np.abs(np.diagonal(m) - 1.0)))
@@ -60,9 +77,9 @@ class ChannelCovariance:
                 raise ValueError(
                     f"covariance diagonal must be one (max deviation {defect:.3e})"
                 )
-        m = m.copy()
-        m.setflags(write=False)
-        return cls(matrix=m, evd=evd)
+        for a in (m, w, v):
+            a.setflags(write=False)
+        return cls(matrix=m, eigenvalues=w, eigenvectors=v)
 
     @property
     def size(self) -> int:
@@ -113,7 +130,7 @@ def exponential_covariance(size: int, coefficient: float) -> ChannelCovariance:
 # Two entries: a point uses two covariances, the BS one and the jammer one.
 @functools.lru_cache(maxsize=2)
 def _cached_covariance(size: int, c: float) -> ChannelCovariance:
-    return ChannelCovariance.from_matrix(_exponential_toeplitz(size, c).astype(np.complex128))
+    return ChannelCovariance.from_matrix(_exponential_toeplitz(size, c))
 
 
 def _exponential_block(size: int, coefficient: float, length: int) -> np.ndarray:

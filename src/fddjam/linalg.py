@@ -1,10 +1,11 @@
 """Dense linear-algebra primitives shared by the whole library.
 
 Covariances, eigenvectors, pilot and jamming blocks are numpy
-``complex128`` arrays. ``solve_hpd`` keeps a real system real: the
-closed form of eigenvector pilots reduces to real ``L x L`` systems.
-Channel vectors are one dimensional; batches of vectors are stacked
-column-wise.
+``complex128`` arrays. A covariance's eigendecomposition lives in
+``channel.ChannelCovariance``; ``sample_complex_gaussian`` draws from its
+eigenpairs. ``solve_hpd`` keeps a real system real: the closed form of
+eigenvector pilots reduces to real ``L x L`` systems. Channel vectors are
+one dimensional; batches of vectors are stacked column-wise.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import contextlib
 import ctypes
 import functools
 import math
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -21,10 +21,7 @@ import numpy as np
 from .tolerances import HERMITIAN_ATOL, ORTHONORMAL_TOL, PSD_EIG_FLOOR
 
 __all__ = [
-    "HermitianEvd",
-    "as_complex_matrix",
     "haar_orthonormal_columns",
-    "hermitian_evd",
     "require_orthonormal_columns",
     "sample_complex_gaussian",
     "solve_hpd",
@@ -46,14 +43,9 @@ def _count(value, name: str, low: int = 0, high: float = math.inf, error=ValueEr
     raise error(f"{name} must be an integer {bounds}, got {value!r}")
 
 
-def as_complex_matrix(a, *, name: str = "matrix") -> np.ndarray:
-    """Coerce ``a`` to a 2-d complex128 array, rejecting non-finite entries."""
-    return _finite_matrix(a, np.complex128, name)
-
-
 def _finite_matrix(a, dtype, name: str) -> np.ndarray:
-    """``a`` as a 2-d array of ``dtype``, rejecting non-finite entries."""
-    arr = np.asarray(a, dtype=dtype)
+    """A C-ordered copy of ``a`` as a 2-d ``dtype`` array, rejecting non-finite entries."""
+    arr = np.array(a, dtype=dtype, order="C")
     if arr.ndim != 2:
         raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
@@ -72,66 +64,6 @@ def require_orthonormal_columns(matrix: np.ndarray, *, name: str = "matrix") -> 
     defect = float(np.linalg.norm(gram - np.eye(cols)))
     if defect > ORTHONORMAL_TOL:
         raise ValueError(f"{name} columns are not orthonormal (defect {defect:.3e})")
-
-
-@dataclass(frozen=True)
-class HermitianEvd:
-    """Eigendecomposition of a Hermitian matrix.
-
-    ``eigenvalues`` are real and sorted in descending order; column ``i`` of
-    ``eigenvectors`` is the unit eigenvector paired with ``eigenvalues[i]``.
-    Arrays are stored read-only.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self) -> None:
-        w = np.array(self.eigenvalues, dtype=np.float64)
-        v = np.array(self.eigenvectors, dtype=np.complex128)
-        if w.ndim != 1 or v.ndim != 2 or v.shape[1] != w.shape[0]:
-            raise ValueError(
-                f"inconsistent eigenpair shapes: {w.shape} values, {v.shape} vectors"
-            )
-        if w.size and np.any(np.diff(w) > 0):
-            raise ValueError("eigenvalues must be sorted in descending order")
-        w.setflags(write=False)
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", w)
-        object.__setattr__(self, "eigenvectors", v)
-
-    @property
-    def size(self) -> int:
-        return self.eigenvalues.shape[0]
-
-
-def hermitian_evd(matrix) -> HermitianEvd:
-    """Eigendecompose a Hermitian matrix with eigenvalues in descending order.
-
-    Ties between equal eigenvalues keep the LAPACK (ascending) output order
-    via a stable sort, so degenerate spectra still produce a deterministic
-    eigenbasis; the identity matrix yields the standard basis in index order.
-
-    Parameters
-    ----------
-    matrix : array_like
-        Square matrix, Hermitian to within ``HERMITIAN_ATOL``.
-
-    Raises
-    ------
-    ValueError
-        If the input is not square or not Hermitian within tolerance.
-    """
-    a = as_complex_matrix(matrix)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {a.shape}")
-    if a.size:
-        asymmetry = float(np.max(np.abs(a - a.conj().T)))
-        if asymmetry > HERMITIAN_ATOL:
-            raise ValueError(f"matrix is not Hermitian (max asymmetry {asymmetry:.3e})")
-    w, v = np.linalg.eigh(a)
-    order = np.argsort(-w, kind="stable")
-    return HermitianEvd(w[order], v[:, order])
 
 
 def solve_hpd(a, b) -> np.ndarray:
@@ -172,10 +104,13 @@ def solve_hpd(a, b) -> np.ndarray:
     return np.linalg.solve(a, rhs)
 
 
-def sample_complex_gaussian(evd: HermitianEvd, rng: np.random.Generator, size: int) -> np.ndarray:
+def sample_complex_gaussian(
+    eigenvalues: np.ndarray, eigenvectors: np.ndarray, rng: np.random.Generator, size: int
+) -> np.ndarray:
     """Draw circularly symmetric complex Gaussian vectors.
 
-    The covariance is supplied through its eigendecomposition; samples are
+    The covariance is supplied through its eigenpairs: column ``i`` of
+    ``eigenvectors`` pairs with ``eigenvalues[i]``. Samples are
     ``U diag(sqrt(w)) e`` with ``e`` having i.i.d. unit-variance complex
     normal entries (independent real and imaginary parts of variance 1/2).
 
@@ -185,15 +120,15 @@ def sample_complex_gaussian(evd: HermitianEvd, rng: np.random.Generator, size: i
     Eigenvalues inside ``[PSD_EIG_FLOOR, 0]`` are clamped to zero; anything
     below the floor raises ``ValueError`` (covariance is not PSD).
     """
-    w = evd.eigenvalues
+    w = eigenvalues
     if w.size and float(w.min()) < PSD_EIG_FLOOR:
         raise ValueError(
             f"covariance is not positive semidefinite (min eigenvalue {w.min():.3e})"
         )
-    shape = (evd.size, _count(size, "size"))
+    shape = (w.shape[0], _count(size, "size"))
     scale = np.sqrt(np.clip(w, 0.0, None))
     e = np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return evd.eigenvectors @ (scale[:, None] * e)
+    return eigenvectors @ (scale[:, None] * e)
 
 
 def haar_orthonormal_columns(

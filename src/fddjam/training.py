@@ -21,7 +21,7 @@ import numpy as np
 from .channel import ChannelCovariance, exponential_spectrum
 from .linalg import (
     _count,
-    as_complex_matrix,
+    _finite_matrix,
     haar_orthonormal_columns,
     require_orthonormal_columns,
     sample_complex_gaussian,
@@ -67,7 +67,7 @@ class UnitaryBlock:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = as_complex_matrix(self.matrix, name="block").copy()
+        m = _finite_matrix(self.matrix, np.complex128, "block")
         require_orthonormal_columns(m, name="block")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -172,13 +172,13 @@ def optimal_pilots(bs_cov: ChannelCovariance, pilot_length: int) -> UnitaryBlock
     covariance it is ``jammer.optimal_jamming``.
     """
     pilot_length = _count(pilot_length, _BLOCK_LENGTH, 1, bs_cov.size)
-    return UnitaryBlock(bs_cov.evd.eigenvectors[:, :pilot_length])
+    return UnitaryBlock(bs_cov.eigenvectors[:, :pilot_length])
 
 
 def worst_case_pilots(bs_cov: ChannelCovariance, pilot_length: int) -> UnitaryBlock:
     """Pilots spanning the weakest eigenvectors: the MSE-maximizing benchmark."""
     start = bs_cov.size - _count(pilot_length, _BLOCK_LENGTH, 1, bs_cov.size)
-    return UnitaryBlock(bs_cov.evd.eigenvectors[:, start:])
+    return UnitaryBlock(bs_cov.eigenvectors[:, start:])
 
 
 def random_unitary_pilots(
@@ -450,10 +450,10 @@ def empirical_mse(
     start = 0
     for stream in rng.spawn(n_chunks):
         k = min(_MC_CHUNK, trials - start)
-        h = sample_complex_gaussian(bs_cov.evd, stream, size=k)
+        h = sample_complex_gaussian(bs_cov.eigenvalues, bs_cov.eigenvectors, stream, k)
         y = bs_gain @ h
         if jam_gain is not None:
-            g = sample_complex_gaussian(jam_cov.evd, stream, size=k)
+            g = sample_complex_gaussian(jam_cov.eigenvalues, jam_cov.eigenvectors, stream, k)
             y = y + jam_gain @ g
         y = y + noise_scale * (
             stream.standard_normal((length, k)) + 1j * stream.standard_normal((length, k))

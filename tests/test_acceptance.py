@@ -151,7 +151,7 @@ def test_criterion_6_ky_fan_property_suite():
         for length in range(1, n_jam + 1):
             for corr in (0.0, 0.4, 0.7, 0.9, 0.99):
                 cov = exponential_covariance(n_jam, corr)
-                top_sum = float(cov.evd.eigenvalues[:length].sum())
+                top_sum = float(cov.eigenvalues[:length].sum())
                 optimal = optimal_jamming(cov, length)
                 attained = float(
                     np.vdot(optimal.matrix, cov.matrix @ optimal.matrix).real

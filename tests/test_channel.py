@@ -28,7 +28,7 @@ class TestExponentialCovariance:
         with pytest.warns(RuntimeWarning, match="rank-one"):
             cov = exponential_covariance(3, 1.0)
         assert np.array_equal(cov.matrix, np.ones((3, 3), dtype=complex))
-        np.testing.assert_allclose(cov.evd.eigenvalues, [3.0, 0.0, 0.0], atol=1e-12)
+        np.testing.assert_allclose(cov.eigenvalues, [3.0, 0.0, 0.0], atol=1e-12)
 
     def test_rank_one_warns_on_every_request(self):
         # the second request is a cache hit and still warns
@@ -61,18 +61,18 @@ class TestExponentialCovariance:
     @pytest.mark.parametrize("r", [0.5, 0.9, 0.99])
     def test_positive_definite_below_unit_coefficient(self, n, r):
         cov = exponential_covariance(n, r)
-        assert float(cov.evd.eigenvalues.min()) > 0
+        assert float(cov.eigenvalues.min()) > 0
 
     def test_largest_eigenvalue_nondecreasing_in_coefficient(self):
         tops = [
-            float(exponential_covariance(16, r).evd.eigenvalues[0])
+            float(exponential_covariance(16, r).eigenvalues[0])
             for r in np.arange(0.0, 0.95, 0.1)
         ]
         assert np.all(np.diff(tops) >= 0)
 
     def test_cached_evd_reconstructs_matrix(self):
         cov = exponential_covariance(12, 0.8)
-        rebuilt = (cov.evd.eigenvectors * cov.evd.eigenvalues) @ cov.evd.eigenvectors.conj().T
+        rebuilt = (cov.eigenvectors * cov.eigenvalues) @ cov.eigenvectors.conj().T
         rel = np.linalg.norm(rebuilt - cov.matrix) / np.linalg.norm(cov.matrix)
         assert rel <= 1e-9
 
@@ -85,7 +85,7 @@ class TestExponentialCovariance:
 class TestExponentialSpectrum:
     @pytest.mark.parametrize(("n", "r"), [(1, 0.5), (12, 0.0), (12, 0.8), (100, 0.7)])
     def test_matches_complex_evd(self, n, r):
-        expected = exponential_covariance(n, r).evd.eigenvalues
+        expected = exponential_covariance(n, r).eigenvalues
         np.testing.assert_allclose(exponential_spectrum(n, r), expected, rtol=0, atol=1e-12)
 
     def test_cached_and_read_only(self):
@@ -133,23 +133,44 @@ class TestFromMatrix:
         with pytest.raises(ValueError, match="Hermitian"):
             ChannelCovariance.from_matrix([[1.0, 0.5], [0.0, 1.0]])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_arrays_are_read_only_copies(self, dtype):
+        source = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=dtype)
+        cov = ChannelCovariance.from_matrix(source)
+        assert cov.eigenvalues.dtype == np.float64
+        assert cov.eigenvectors.dtype == np.complex128
+        for array in (cov.matrix, cov.eigenvalues, cov.eigenvectors):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
+        before = [a.copy() for a in (cov.matrix, cov.eigenvalues, cov.eigenvectors)]
+        source[0, 1] = source[1, 0] = 0.9
+        after = (cov.matrix, cov.eigenvalues, cov.eigenvectors)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after))
+
+
+def draw(cov, seed, size):
+    """``size`` channel draws from ``cov``'s eigenpairs, one per column."""
+    rng = np.random.default_rng(seed)
+    return sample_complex_gaussian(cov.eigenvalues, cov.eigenvectors, rng, size=size)
+
 
 class TestSampleChannel:
     def test_mean_energy_matches_trace(self):
         cov = exponential_covariance(2, 0.0)
-        draws = sample_complex_gaussian(cov.evd, np.random.default_rng(0), size=20_000)
+        draws = draw(cov, 0, 20_000)
         energy = float((np.abs(draws) ** 2).sum(axis=0).mean())
         assert energy == pytest.approx(2.0, abs=0.05)
 
     def test_correlated_lln(self):
         n, trials = 16, 100_000
         cov = exponential_covariance(n, 0.9)
-        draws = sample_complex_gaussian(cov.evd, np.random.default_rng(4), size=trials)
+        draws = draw(cov, 4, trials)
         empirical = (draws @ draws.conj().T) / trials
         rel = np.linalg.norm(empirical - cov.matrix) / np.linalg.norm(cov.matrix)
         assert rel <= 0.05
 
     def test_single_draw_shape(self):
         cov = exponential_covariance(5, 0.3)
-        (v,) = sample_complex_gaussian(cov.evd, np.random.default_rng(1), size=1).T
+        (v,) = draw(cov, 1, 1).T
         assert v.shape == (5,)

@@ -86,7 +86,7 @@ MSE = ["mse", "--M", "4", "--L", "2", "--r", "0", "--pb-db", "0"]
 # (id, name in the error, low, high, call): library and spec entries
 LIBRARY = [
     ("sample-size", "size", 0, None,
-     lambda v: sample_complex_gaussian(COV.evd, rng(), size=v)),
+     lambda v: sample_complex_gaussian(COV.eigenvalues, COV.eigenvectors, rng(), size=v)),
     ("haar-rows", "rows", 1, None, lambda v: haar_orthonormal_columns(v, 1, rng())),
     ("haar-cols", "cols", 1, 6, lambda v: haar_orthonormal_columns(6, v, rng())),
     ("covariance-size", "size", 1, None, lambda v: exponential_covariance(v, 0.5)),

@@ -55,7 +55,7 @@ class TestOptimalJamming:
         cov = exponential_covariance(8, 0.7)
         jam = optimal_jamming(cov, 3)
         congruence = jam.matrix.conj().T @ cov.matrix @ jam.matrix
-        target = np.diag(cov.evd.eigenvalues[:3])
+        target = np.diag(cov.eigenvalues[:3])
         assert np.linalg.norm(congruence - target) <= DIAGONALITY_TOL
         off = congruence - np.diag(np.diagonal(congruence))
         assert np.linalg.norm(off) <= DIAGONALITY_TOL
@@ -100,7 +100,7 @@ class TestJammingObjective:
 
     def test_random_candidates_never_beat_eigen_optimal(self):
         cov = exponential_covariance(6, 0.8)
-        top = float(cov.evd.eigenvalues[:3].sum())
+        top = float(cov.eigenvalues[:3].sum())
         rng = np.random.default_rng(17)
         for _ in range(500):
             jam = UnitaryBlock(haar_orthonormal_columns(6, 3, rng))
@@ -108,8 +108,8 @@ class TestJammingObjective:
 
     def test_bounded_by_extreme_eigenvalue_sums(self):
         cov = exponential_covariance(6, 0.9)
-        lo = float(cov.evd.eigenvalues[-3:].sum())
-        hi = float(cov.evd.eigenvalues[:3].sum())
+        lo = float(cov.eigenvalues[-3:].sum())
+        hi = float(cov.eigenvalues[:3].sum())
         rng = np.random.default_rng(19)
         for _ in range(100):
             value = jamming_objective(UnitaryBlock(haar_orthonormal_columns(6, 3, rng)), cov)
@@ -155,7 +155,7 @@ class TestVerifyLemma:
         assert verdict.num_samples == 2000
         assert verdict.best_random_objective <= verdict.optimal_objective + 1e-9
         assert verdict.optimal_objective == pytest.approx(
-            float(jam_cov.evd.eigenvalues[:L].sum()), abs=1e-9
+            float(jam_cov.eigenvalues[:L].sum()), abs=1e-9
         )
         assert isinstance(verdict.mse_counterexample_found, bool)
 

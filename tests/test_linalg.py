@@ -9,12 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fddjam import linalg
+from fddjam.channel import ChannelCovariance
 from fddjam.linalg import (
-    HermitianEvd,
     _openblas_copies,
     _single_blas_thread,
     haar_orthonormal_columns,
-    hermitian_evd,
     require_orthonormal_columns,
     sample_complex_gaussian,
     solve_hpd,
@@ -34,61 +33,69 @@ def exp_corr(n, r):
     )
 
 
+def evd(matrix):
+    """Eigendecomposition of a PSD matrix, as ``ChannelCovariance`` holds it."""
+    return ChannelCovariance.from_matrix(matrix, unit_diagonal=False)
+
+
+def eigenpairs(matrix):
+    cov = evd(matrix)
+    return cov.eigenvalues, cov.eigenvectors
+
+
 class TestHermitianEvd:
+    """The Hermitian eigendecomposition done by ``ChannelCovariance.from_matrix``."""
+
     def test_identity_keeps_index_order(self):
-        evd = hermitian_evd(np.eye(3))
-        np.testing.assert_allclose(evd.eigenvalues, np.ones(3))
+        cov = evd(np.eye(3))
+        np.testing.assert_allclose(cov.eigenvalues, np.ones(3))
         # degenerate spectrum: stable tie-break keeps the standard basis order
-        np.testing.assert_allclose(evd.eigenvectors, np.eye(3), atol=1e-12)
+        np.testing.assert_allclose(cov.eigenvectors, np.eye(3), atol=1e-12)
 
     def test_two_by_two_closed_form(self):
-        evd = hermitian_evd([[1.0, 0.5], [0.5, 1.0]])
-        np.testing.assert_allclose(evd.eigenvalues, [1.5, 0.5], atol=1e-14)
-        top = evd.eigenvectors[:, 0]
+        cov = evd([[1.0, 0.5], [0.5, 1.0]])
+        np.testing.assert_allclose(cov.eigenvalues, [1.5, 0.5], atol=1e-14)
+        top = cov.eigenvectors[:, 0]
         overlap = abs(np.vdot(top, np.array([1.0, 1.0]) / np.sqrt(2)))
         assert overlap == pytest.approx(1.0, abs=1e-12)
 
     def test_exponential_4x4_matches_independent_solver(self):
         a = exp_corr(4, 0.7)
-        evd = hermitian_evd(a)
-        np.testing.assert_allclose(evd.eigenvalues, jacobi_eigenvalues(a), atol=1e-9)
+        cov = evd(a)
+        np.testing.assert_allclose(cov.eigenvalues, jacobi_eigenvalues(a), atol=1e-9)
 
     @pytest.mark.parametrize("n", [2, 5, 16, 64])
     def test_eigenvalue_sum_equals_trace(self, n):
-        a = random_hermitian(n, np.random.default_rng(n))
-        evd = hermitian_evd(a)
+        a = random_hermitian(n, np.random.default_rng(n), definite=True)
+        cov = evd(a)
         trace = float(np.trace(a).real)
-        assert evd.eigenvalues.sum() == pytest.approx(trace, rel=1e-9, abs=1e-9)
+        assert cov.eigenvalues.sum() == pytest.approx(trace, rel=1e-9, abs=1e-9)
 
     @pytest.mark.parametrize("n", [2, 8, 32])
     def test_orthonormality_and_reconstruction(self, n):
-        a = random_hermitian(n, np.random.default_rng(100 + n))
-        evd = hermitian_evd(a)
-        gram = evd.eigenvectors.conj().T @ evd.eigenvectors
+        a = random_hermitian(n, np.random.default_rng(100 + n), definite=True)
+        cov = evd(a)
+        gram = cov.eigenvectors.conj().T @ cov.eigenvectors
         assert np.linalg.norm(gram - np.eye(n)) <= 1e-10
-        rebuilt = (evd.eigenvectors * evd.eigenvalues) @ evd.eigenvectors.conj().T
+        rebuilt = (cov.eigenvectors * cov.eigenvalues) @ cov.eigenvectors.conj().T
         rel = np.linalg.norm(rebuilt - a) / np.linalg.norm(a)
         assert rel <= EVD_RECONSTRUCTION_RTOL
 
     def test_eigenvalues_descending(self):
-        evd = hermitian_evd(random_hermitian(12, np.random.default_rng(3)))
-        assert np.all(np.diff(evd.eigenvalues) <= 0)
+        cov = evd(random_hermitian(12, np.random.default_rng(3), definite=True))
+        assert np.all(np.diff(cov.eigenvalues) <= 0)
 
     def test_rejects_non_square(self):
         with pytest.raises(ValueError, match="square"):
-            hermitian_evd(np.ones((2, 3)))
+            evd(np.ones((2, 3)))
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_evd([[1.0, 1e-8], [0.0, 1.0]])
+            evd([[1.0, 1e-8], [0.0, 1.0]])
 
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError, match="finite"):
-            hermitian_evd([[np.nan, 0.0], [0.0, 1.0]])
-
-    def test_evd_type_rejects_unsorted(self):
-        with pytest.raises(ValueError, match="descending"):
-            HermitianEvd(np.array([0.5, 1.5]), np.eye(2, dtype=complex))
+            evd([[np.nan, 0.0], [0.0, 1.0]])
 
 
 class TestSolveHpd:
@@ -181,15 +188,15 @@ class TestSolveHpd:
 
 class TestComplexGaussianSampling:
     def test_zero_covariance_gives_zero_vector(self):
-        evd = hermitian_evd(np.zeros((4, 4)))
-        (v,) = sample_complex_gaussian(evd, np.random.default_rng(0), size=1).T
+        w, u = eigenpairs(np.zeros((4, 4)))
+        (v,) = sample_complex_gaussian(w, u, np.random.default_rng(0), size=1).T
         assert v.shape == (4,)
         assert np.all(v == 0)
 
     def test_identity_covariance_lln(self):
         n, trials = 8, 100_000
-        evd = hermitian_evd(np.eye(n))
-        v = sample_complex_gaussian(evd, np.random.default_rng(42), size=trials)
+        w, u = eigenpairs(np.eye(n))
+        v = sample_complex_gaussian(w, u, np.random.default_rng(42), size=trials)
         empirical = (v @ v.conj().T) / trials
         rel = np.linalg.norm(empirical - np.eye(n)) / np.linalg.norm(np.eye(n))
         assert rel <= 0.05
@@ -197,35 +204,36 @@ class TestComplexGaussianSampling:
     def test_exponential_covariance_lln(self):
         n, trials = 8, 100_000
         cov = exp_corr(n, 0.5)
-        v = sample_complex_gaussian(hermitian_evd(cov), np.random.default_rng(11), size=trials)
+        w, u = eigenpairs(cov)
+        v = sample_complex_gaussian(w, u, np.random.default_rng(11), size=trials)
         empirical = (v @ v.conj().T) / trials
         rel = np.linalg.norm(empirical - cov) / np.linalg.norm(cov)
         assert rel <= 0.05
 
     def test_reproducible_for_fixed_seed(self):
-        evd = hermitian_evd(exp_corr(6, 0.7))
-        a = sample_complex_gaussian(evd, np.random.default_rng(5), size=100)
-        b = sample_complex_gaussian(evd, np.random.default_rng(5), size=100)
+        w, u = eigenpairs(exp_corr(6, 0.7))
+        a = sample_complex_gaussian(w, u, np.random.default_rng(5), size=100)
+        b = sample_complex_gaussian(w, u, np.random.default_rng(5), size=100)
         assert np.array_equal(a, b)
 
     def test_circular_symmetry(self):
         n, trials = 8, 100_000
-        evd = hermitian_evd(np.eye(n))
-        v = sample_complex_gaussian(evd, np.random.default_rng(9), size=trials)
+        w, u = eigenpairs(np.eye(n))
+        v = sample_complex_gaussian(w, u, np.random.default_rng(9), size=trials)
         mean = v.mean(axis=1)
         assert np.linalg.norm(mean) <= 0.02 * np.sqrt(n)
         pseudo = (v @ v.T) / trials  # E[v v^T], zero for circular symmetry
         assert np.linalg.norm(pseudo) <= 0.05 * np.sqrt(n)
 
     def test_clamps_roundoff_negative_eigenvalues(self):
-        evd = HermitianEvd(np.array([1.0, -5e-13]), np.eye(2, dtype=complex))
-        v = sample_complex_gaussian(evd, np.random.default_rng(1), size=10)
+        w, u = np.array([1.0, -5e-13]), np.eye(2, dtype=complex)
+        v = sample_complex_gaussian(w, u, np.random.default_rng(1), size=10)
         assert np.all(v[1] == 0)
 
     def test_rejects_negative_eigenvalue_below_floor(self):
-        evd = HermitianEvd(np.array([1.0, -1e-11]), np.eye(2, dtype=complex))
+        w, u = np.array([1.0, -1e-11]), np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="semidefinite"):
-            sample_complex_gaussian(evd, np.random.default_rng(1), size=1)
+            sample_complex_gaussian(w, u, np.random.default_rng(1), size=1)
 
 
 class TestHaarColumns:

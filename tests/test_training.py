@@ -108,7 +108,7 @@ class TestPilotDesigns:
         pilots = optimal_pilots(cov, 3)
         congruence = pilots.matrix.conj().T @ cov.matrix @ pilots.matrix
         np.testing.assert_allclose(
-            congruence, np.diag(cov.evd.eigenvalues[:3]), atol=1e-9
+            congruence, np.diag(cov.eigenvalues[:3]), atol=1e-9
         )
 
     def test_worst_case_identity_is_complement(self):
@@ -492,8 +492,8 @@ class TestMmseEstimate:
         cov = exponential_covariance(M, 0.7)
         pilots = optimal_pilots(cov, M)
         rng = np.random.default_rng(4)
-        h = cov.evd.eigenvectors @ (
-            np.sqrt(cov.evd.eigenvalues)
+        h = cov.eigenvectors @ (
+            np.sqrt(cov.eigenvalues)
             * np.sqrt(0.5)
             * (rng.standard_normal(M) + 1j * rng.standard_normal(M))
         )
