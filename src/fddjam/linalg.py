@@ -43,11 +43,15 @@ def _count(value, name: str, low: int = 0, high: float = math.inf, error=ValueEr
     raise error(f"{name} must be an integer {bounds}, got {value!r}")
 
 
-def _finite_matrix(a, dtype, name: str) -> np.ndarray:
-    """A C-ordered copy of ``a`` as a 2-d ``dtype`` array, rejecting non-finite entries."""
+def _finite_matrix(a, dtype, name: str, stack: bool = False) -> np.ndarray:
+    """A C-ordered copy of ``a`` as a 2-d ``dtype`` array, rejecting non-finite entries.
+
+    With ``stack``, a 3-d array (a stack of matrices) is accepted too.
+    """
     arr = np.array(a, dtype=dtype, order="C")
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
+    if arr.ndim != 2 and not (stack and arr.ndim == 3):
+        kind = "two-dimensional or a stack of matrices" if stack else "two-dimensional"
+        raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -73,6 +77,11 @@ def solve_hpd(a, b) -> np.ndarray:
     is numpy's LU solve, which never forms the inverse explicitly. ``b`` may
     be a vector or a matrix of right-hand sides.
 
+    ``a`` may also be an ``(n, L, L)`` stack of matrices sharing one ``b``;
+    ``x`` then has a leading axis of ``n``, and each of its entries has the
+    bits of the solve of that matrix alone. One matrix of the stack that
+    fails a check fails the whole call.
+
     The system is solved in ``np.result_type(a, b)``, at least float64: a
     real ``a`` with a real ``b`` is factored and solved in float64 and gives
     a float64 ``x``; if either is complex, both are taken as complex128.
@@ -86,14 +95,14 @@ def solve_hpd(a, b) -> np.ndarray:
     """
     a, rhs = np.asarray(a), np.asarray(b)
     dtype = np.result_type(a, rhs, np.float64)
-    a = _finite_matrix(a, dtype, "lhs")
-    if a.shape[0] != a.shape[1]:
+    a = _finite_matrix(a, dtype, "lhs", stack=True)
+    if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"lhs must be square, got shape {a.shape}")
-    asymmetry = float(np.max(np.abs(a - a.conj().T))) if a.size else 0.0
+    asymmetry = float(np.max(np.abs(a - a.conj().mT))) if a.size else 0.0
     if asymmetry > HERMITIAN_ATOL:
         raise ValueError(f"lhs is not Hermitian (max asymmetry {asymmetry:.3e})")
     rhs = rhs.astype(dtype, copy=False)
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != a.shape[0]:
+    if rhs.ndim not in (1, 2) or rhs.shape[0] != a.shape[-1]:
         raise ValueError(f"rhs shape {rhs.shape} does not match lhs shape {a.shape}")
     if not np.all(np.isfinite(rhs)):
         raise ValueError("rhs contains non-finite entries")
@@ -132,7 +141,7 @@ def sample_complex_gaussian(
 
 
 def haar_orthonormal_columns(
-    rows: int, cols: int, rng: np.random.Generator
+    rows: int, cols: int, rng: np.random.Generator, count: int | None = None
 ) -> np.ndarray:
     """Draw a Haar-distributed ``(rows, cols)`` matrix with orthonormal columns.
 
@@ -140,20 +149,54 @@ def haar_orthonormal_columns(
     triangular factor's diagonal folded back into Q so the distribution is
     invariant under left multiplication by any fixed unitary matrix.
 
+    With ``count``, a ``(count, rows, cols)`` stack comes back from one draw
+    of normals and one stacked QR: bit for bit the matrices, and the
+    generator state after, of ``count`` calls without it. A single matrix
+    is the stack of one.
+
     A rank-deficient draw (probability zero) is retried up to three times
-    before raising ``numpy.linalg.LinAlgError``.
+    before raising ``numpy.linalg.LinAlgError``. In a stack, the generator
+    goes back to its state before the stack, and the stack is drawn again
+    one matrix at a time, each with its own retries, as separate calls
+    would have drawn it.
     """
     rows = _count(rows, "rows", 1)
     cols = _count(cols, "cols", 1, rows)
+    size = 1 if count is None else _count(count, "count", 1)
+    state = rng.bit_generator.state
+    q = _haar_draw(size, rows, cols, rng)
+    if q is None:
+        rng.bit_generator.state = state
+        q = np.stack([_haar_retried(rows, cols, rng) for _ in range(size)])
+    return q[0] if count is None else q
+
+
+def _haar_retried(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
     for _ in range(3):
-        x = np.sqrt(0.5) * (
-            rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        )
-        q, r = np.linalg.qr(x, mode="reduced")
-        d = np.diagonal(r)
-        if float(np.min(np.abs(d))) > 1e-12:
-            return q * (d / np.abs(d))
+        q = _haar_draw(1, rows, cols, rng)
+        if q is not None:
+            return q[0]
     raise np.linalg.LinAlgError("random matrix stayed rank deficient after 3 draws")
+
+
+def _haar_draw(size: int, rows: int, cols: int, rng: np.random.Generator):
+    """A stack of ``size`` Haar matrices, or None if one draw is rank deficient.
+
+    The normals of each matrix come real part first, then imaginary part,
+    so one draw of ``(size, 2, rows, cols)`` is the stream of ``size``
+    sequential pairs of ``(rows, cols)`` draws.
+    """
+    normals = rng.standard_normal((size, 2, rows, cols))
+    # sqrt(0.5) * (re + 1j * im), built in place: the same bits, one array
+    x = normals[:, 1] * 1j
+    x += normals[:, 0]
+    x *= np.sqrt(0.5)
+    q, r = np.linalg.qr(x, mode="reduced")
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    if not float(np.min(np.abs(d))) > 1e-12:
+        return None
+    q *= (d / np.abs(d))[:, None, :]
+    return q
 
 
 # A numpy wheel bundles its own OpenBLAS, with its own thread count, in

@@ -228,7 +228,8 @@ def _check_dimensions(
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a + a.conj().T)
+    # .mT transposes each matrix of a stack; a 1-D diagonal is its own transpose
+    return 0.5 * (a + (a.conj().mT if a.ndim > 1 else a.conj()))
 
 
 def _noise_term(cfg: TrainingConfig, length: int) -> float:
@@ -274,8 +275,12 @@ def _eigen_pilot_terms(design: str, cfg: TrainingConfig):
 
 
 def _jamming_term(z: np.ndarray, jam_cov: ChannelCovariance, cfg: TrainingConfig) -> np.ndarray:
-    """Jamming term ``J = (jammer_power / bs_power) * ZᴴC_jZ`` of the received block."""
-    return (cfg.jammer_power / cfg.bs_power) * (z.conj().T @ jam_cov.matrix @ z)
+    """Jamming term ``J = (jammer_power / bs_power) * (ZᴴC_j)Z`` of the received block.
+
+    ``z`` may be an ``(n, N, L)`` stack of blocks, giving an ``(n, L, L)``
+    stack of terms.
+    """
+    return (cfg.jammer_power / cfg.bs_power) * (z.conj().mT @ jam_cov.matrix @ z)
 
 
 def _as_matrix(a: np.ndarray) -> np.ndarray:
@@ -290,7 +295,7 @@ def _estimator_k(k: np.ndarray, jam: np.ndarray | None, jammer_aware: bool) -> n
     return _hermitian_part(k + jam) if jammer_aware and jam is not None else k
 
 
-def _closed_form(terms, jam, jammer_aware: bool) -> float:
+def _closed_form(terms, jam, jammer_aware: bool) -> float | list[float]:
     """Per-antenna MSE from the ``L x L`` training system.
 
     ``terms`` is ``(K, G, tr C, M)`` with ``GᴴG = PᴴC²P``; ``jam`` is the
@@ -310,12 +315,19 @@ def _closed_form(terms, jam, jammer_aware: bool) -> float:
     rank-deficient ``C`` its round-off, amplified by ``K⁻¹J``, cost the
     unaware value about 1e-10 against the full-dimension formula.
 
+    ``J`` may also be an ``(n, L, L)`` stack of jamming terms for a
+    jammer-aware estimator: one stacked solve then gives a list of ``n``
+    MSEs, each with the bits of that ``J`` evaluated alone. A check that
+    fails for one of them fails the call.
+
     Raises ``numpy.linalg.LinAlgError`` when ``K_est`` is not positive
     definite and ``ArithmeticError`` if the value is negative beyond
     round-off tolerance (an internal-consistency failure).
     """
     k, g, trace_c, num_antennas = terms
     leaves_out = not jammer_aware and jam is not None
+    if leaves_out and np.ndim(jam) == 3:
+        raise ValueError("a stack of jamming terms needs the jammer-aware estimator")
     inputs = (k, g) if jam is None else (k, g, jam)
     if all(np.ndim(a) == 1 for a in inputs):
         k_est = _estimator_k(k, jam, jammer_aware)
@@ -333,11 +345,20 @@ def _closed_form(terms, jam, jammer_aware: bool) -> float:
         rhs = _as_matrix(g).conj().T
         solved = solve_hpd(k_est, np.hstack([rhs, jam]) if leaves_out else rhs)
         # a 1-D G scales columns: the same bits as a product with diag(G)
-        x = solved[:, :rows] * g if np.ndim(g) == 1 else solved[:, :rows] @ g
+        x = solved[..., :rows] * g if np.ndim(g) == 1 else solved[..., :rows] @ g
+        if x.ndim == 3:
+            traces = np.trace(x, axis1=1, axis2=2).real
+            return [_checked_mse(trace_c - float(t), trace_c, num_antennas, False)
+                    for t in traces]
         value = trace_c - float(np.trace(x).real)
         if leaves_out:
             # tr(K⁻¹ J X) as the elementwise product of K⁻¹J with Xᵀ
             value += float(np.sum(solved[:, rows:] * x.T).real)
+    return _checked_mse(value, trace_c, num_antennas, leaves_out)
+
+
+def _checked_mse(value: float, trace_c: float, num_antennas: int, leaves_out: bool) -> float:
+    """An error-covariance trace as a per-antenna MSE, checked and clipped."""
     value /= num_antennas
     if value < MSE_NEGATIVE_FLOOR:
         raise ArithmeticError(

@@ -3,13 +3,18 @@
 These deliberately avoid the library's own code paths (and LAPACK where the
 library relies on it) so cross-checks stay meaningful: the full-dimension
 formulas solve through scipy's Cholesky routines, not the library's numpy
-solve.
+solve. The one-candidate-at-a-time lemma loop at the end is the exception:
+it is a bit-for-bit reference, so it keeps the single-matrix closed form.
 """
 
 import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+
+from fddjam.jammer import LemmaVerdict, jamming_objective, optimal_jamming
+from fddjam.tolerances import KY_FAN_SLACK
+from fddjam.training import _check_dimensions, _closed_form, _pilot_terms
 
 
 def solve_hpd(a, b):
@@ -116,3 +121,59 @@ def full_dimension_mse(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode):
     else:
         err_cov = unaware_error_covariance(pilots, jamming, bs_cov, jam_cov, cfg)
     return float(np.trace(err_cov).real) / bs_cov.size
+
+
+# The lemma oracle as it was before it evaluated candidates in stacks: one
+# Haar draw, one congruence and one solve per Python call. Stacked draws
+# and ``verify_lemma`` must reproduce it bit for bit, generator state
+# included.
+
+
+def haar_one_by_one(rows, cols, rng):
+    """One Haar matrix per call, retrying a rank-deficient draw up to three times."""
+    for _ in range(3):
+        x = np.sqrt(0.5) * (
+            rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+        )
+        q, r = np.linalg.qr(x, mode="reduced")
+        d = np.diagonal(r)
+        if float(np.min(np.abs(d))) > 1e-12:
+            return q * (d / np.abs(d))
+    raise np.linalg.LinAlgError("random matrix stayed rank deficient after 3 draws")
+
+
+def verify_lemma_one_by_one(bs_cov, jam_cov, pilots, cfg, num_random, rng):
+    """``jammer.verify_lemma``, drawing and evaluating one candidate at a time."""
+    length = pilots.length
+    z_opt = optimal_jamming(jam_cov, length)
+    _check_dimensions(pilots, z_opt, bs_cov, jam_cov, cfg)
+    terms = _pilot_terms(pilots, bs_cov, cfg)
+    ratio = cfg.jammer_power / cfg.bs_power
+    c = jam_cov.matrix
+    optimal_objective = jamming_objective(z_opt, jam_cov)
+    optimal_mse = _closed_form(
+        terms, ratio * (z_opt.matrix.conj().T @ c @ z_opt.matrix), jammer_aware=True
+    )
+    best_objective = best_mse = None
+    for _ in range(num_random):
+        z = haar_one_by_one(jam_cov.size, length, rng)
+        objective = float(np.vdot(z, c @ z).real)
+        mse = _closed_form(terms, ratio * (z.conj().T @ c @ z), jammer_aware=True)
+        if best_objective is None or objective > best_objective:
+            best_objective = objective
+        if best_mse is None or mse > best_mse:
+            best_mse = mse
+    if best_objective is not None and best_objective > optimal_objective + KY_FAN_SLACK:
+        raise ArithmeticError(
+            f"trace bound violated: random objective {best_objective:.12g} exceeds "
+            f"eigen-optimal objective {optimal_objective:.12g}"
+        )
+    return LemmaVerdict(
+        optimal_objective=optimal_objective,
+        optimal_mse=optimal_mse,
+        best_random_objective=best_objective,
+        best_random_mse=best_mse,
+        num_samples=num_random,
+        mse_counterexample_found=best_mse is not None
+        and best_mse > optimal_mse + KY_FAN_SLACK,
+    )

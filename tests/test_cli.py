@@ -320,6 +320,22 @@ class TestVerifyLemmaCommand:
         assert "random samples:          300" in out
         assert "MSE counterexample:" in out
 
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_stdout_is_pinned_for_any_worker_count(self, workers):
+        # 64 BS and jammer antennas, L = 16, 2,000 candidates: the stdout
+        # the one-candidate-at-a-time loop printed, in a fresh interpreter
+        config = Path(__file__).resolve().parent / "data" / "verify-lemma-64.json"
+        env = dict(os.environ, FDDJAM_WORKERS=workers)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(Path(fddjam.__file__).parents[1]), env.get("PYTHONPATH")])
+        )
+        done = subprocess.run(
+            [sys.executable, "-m", "fddjam.cli", "verify-lemma", "--config", str(config)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout == config.with_suffix(".txt").read_text()
+
     @pytest.mark.parametrize(
         ("key", "value"),
         [("seed", -1), ("num_random", -5), ("pilot_design", "fancy")],

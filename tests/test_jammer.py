@@ -1,10 +1,15 @@
 """Tests for jamming strategies and the design-verification oracle."""
 
+import threading
+
 import numpy as np
 import pytest
 
+import fddjam.jammer
+import fddjam.training
 from fddjam.channel import ChannelCovariance, exponential_covariance
 from fddjam.jammer import (
+    _LEMMA_STACK,
     jamming_objective,
     optimal_jamming,
     single_shot_jamming,
@@ -15,9 +20,11 @@ from fddjam.training import (
     TrainingConfig,
     UnitaryBlock,
     optimal_pilots,
+    random_unitary_pilots,
     scenario_closed_form_mse,
+    worst_case_pilots,
 )
-from oracles import full_dimension_mse
+from oracles import full_dimension_mse, verify_lemma_one_by_one
 
 # Off-diagonal Frobenius mass allowed where a congruence should be diagonal.
 DIAGONALITY_TOL = 1e-9
@@ -204,6 +211,130 @@ class TestVerifyLemma:
                 bs_cov, jam_cov, optimal_pilots(bs_cov, 2), cfg, -1,
                 np.random.default_rng(0),
             )
+
+
+# (M, N, L, pilot design): N != M both ways, L = 1 and L = N.
+LEMMA_CONFIGS = [
+    (8, 6, 3, "optimal"),
+    (6, 9, 2, "worst-case"),
+    (7, 5, 1, "random-unitary"),
+    (8, 4, 4, "optimal"),
+    (5, 5, 5, "random-unitary"),
+]
+
+
+def lemma_inputs(M, N, L, design, seed):
+    """Covariances, pilots, config and generator of one lemma run."""
+    cfg = make_cfg(M, N, L, r=0.7, rg=0.5)
+    bs_cov = exponential_covariance(M, 0.7)
+    jam_cov = exponential_covariance(N, 0.5)
+    rng = np.random.default_rng(seed)
+    pilots = {
+        "optimal": lambda: optimal_pilots(bs_cov, L),
+        "worst-case": lambda: worst_case_pilots(bs_cov, L),
+        "random-unitary": lambda: random_unitary_pilots(M, L, rng),
+    }[design]()
+    return bs_cov, jam_cov, pilots, cfg, rng
+
+
+def lemma_outcome(run, config, seed, num_random):
+    """A lemma run's verdict and generator state, or its error's type and message."""
+    bs_cov, jam_cov, pilots, cfg, rng = lemma_inputs(*config, seed)
+    try:
+        return run(bs_cov, jam_cov, pilots, cfg, num_random, rng), rng.bit_generator.state
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestStackedLemma:
+    """verify_lemma against the one-candidate-at-a-time loop it replaced."""
+
+    @pytest.mark.parametrize("num_random", [0, 1, 31, 32, 33, 100])
+    def test_bit_identical_for_any_stack_split(self, num_random):
+        config = LEMMA_CONFIGS[0]
+        got = lemma_outcome(verify_lemma, config, 11, num_random)
+        assert got == lemma_outcome(verify_lemma_one_by_one, config, 11, num_random)
+        assert got[0].num_samples == num_random
+
+    @pytest.mark.parametrize("config", LEMMA_CONFIGS, ids=lambda c: "M{}-N{}-L{}-{}".format(*c))
+    def test_bit_identical_for_every_design_and_shape(self, config):
+        got = lemma_outcome(verify_lemma, config, 4, 100)
+        assert got == lemma_outcome(verify_lemma_one_by_one, config, 4, 100)
+
+    def test_draws_whole_stacks(self, monkeypatch):
+        draw, counts = fddjam.jammer.haar_orthonormal_columns, []
+
+        def counted_draw(rows, cols, rng, count):
+            counts.append(count)
+            return draw(rows, cols, rng, count)
+
+        monkeypatch.setattr(fddjam.jammer, "haar_orthonormal_columns", counted_draw)
+        lemma_outcome(verify_lemma, LEMMA_CONFIGS[0], 1, 2 * _LEMMA_STACK + 5)
+        assert counts == [_LEMMA_STACK, _LEMMA_STACK, 5]
+
+    def test_singular_system_raises_like_the_loop(self):
+        # noiseless, rank-one covariances: K + J is singular for L = 3
+        cfg = make_cfg(6, 6, 3, nv=0.0, r=1.0, rg=1.0)
+        with pytest.warns(RuntimeWarning, match="rank-one"):
+            cov = exponential_covariance(6, 1.0)
+        inputs = (cov, cov, optimal_pilots(cov, 3), cfg)
+        before = threading.active_count()
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            verify_lemma(*inputs, 100, np.random.default_rng(0))
+        assert threading.active_count() == before
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            verify_lemma_one_by_one(*inputs, 100, np.random.default_rng(0))
+        assert str(got.value) == str(want.value) == "matrix is not positive definite"
+
+    @staticmethod
+    def fail_solves_above(monkeypatch, threshold):
+        """Make ``_closed_form``'s solves fail where Re K_est[0, 1] > threshold.
+
+        The message carries the largest value of the call, so a stacked call
+        names another candidate than a single one. Returns the call log.
+        """
+        solve, calls = fddjam.training.solve_hpd, []
+
+        def failing_solve(a, b):
+            calls.append(1)
+            off = np.asarray(a)[..., 0, 1].real.reshape(-1)
+            if np.any(off > threshold):
+                raise np.linalg.LinAlgError(f"injected at {off.max()!r}")
+            return solve(a, b)
+
+        monkeypatch.setattr(fddjam.training, "solve_hpd", failing_solve)
+        return calls
+
+    def test_first_failing_candidate_raises_its_own_error(self, monkeypatch):
+        # With seed 3, candidates 45, 54, 56 and 62 (second stack), then 75,
+        # 88, 110, 128 and more in later stacks fail: the error must be
+        # candidate 45's alone, as in the one-by-one loop.
+        calls = self.fail_solves_above(monkeypatch, 0.34)
+        config = LEMMA_CONFIGS[0]
+        got = lemma_outcome(verify_lemma, config, 3, 200)
+        calls.clear()
+        want = lemma_outcome(verify_lemma_one_by_one, config, 3, 200)
+        assert len(calls) == 1 + 46  # the optimal block, then candidates 0..45
+        assert want[0] is np.linalg.LinAlgError
+        assert got == want
+
+    def test_failing_candidate_raises_before_a_later_draw_fails(self, monkeypatch):
+        # candidate 45 (second stack) fails, and so does the draw of the
+        # fourth stack, which the one-by-one loop never reaches
+        self.fail_solves_above(monkeypatch, 0.34)
+        draw, drawn = fddjam.jammer.haar_orthonormal_columns, []
+
+        def failing_draw(*args):
+            drawn.append(1)
+            if len(drawn) == 4:
+                raise np.linalg.LinAlgError("random matrix stayed rank deficient after 3 draws")
+            return draw(*args)
+
+        monkeypatch.setattr(fddjam.jammer, "haar_orthonormal_columns", failing_draw)
+        config = LEMMA_CONFIGS[0]
+        got = lemma_outcome(verify_lemma, config, 3, 200)
+        assert got == lemma_outcome(verify_lemma_one_by_one, config, 3, 200)
+        assert got[1].startswith("injected at")
 
 
 class TestStrategyDominance:

@@ -18,7 +18,7 @@ from fddjam.linalg import (
     sample_complex_gaussian,
     solve_hpd,
 )
-from oracles import jacobi_eigenvalues, random_hermitian
+from oracles import haar_one_by_one, jacobi_eigenvalues, random_hermitian
 
 # Relative Frobenius tolerance for rebuilding a matrix from its eigenpairs.
 EVD_RECONSTRUCTION_RTOL = 1e-9
@@ -259,6 +259,107 @@ class TestHaarColumns:
             acc += np.abs(q[:, 0]) ** 2
         acc /= draws
         np.testing.assert_allclose(acc, np.full(rows, 1.0 / rows), atol=0.02)
+
+
+def state(rng):
+    return rng.bit_generator.state
+
+
+def zero_diagonal_entry_of(bad, real_qr=np.linalg.qr):
+    """``np.linalg.qr`` that zeroes ``R[1, 1]`` of every input matrix equal to ``bad``."""
+    def qr(x, mode="reduced"):
+        q, r = real_qr(x, mode=mode)
+        hit = np.all(x == bad, axis=(-2, -1)) if bad is not None else True
+        r = np.array(r)
+        r[..., 1, 1] = np.where(hit, 0.0, r[..., 1, 1])
+        return q, r
+    return qr
+
+
+class TestHaarStacks:
+    @pytest.mark.parametrize("rows,cols,count", [(4, 1, 1), (6, 3, 5), (5, 5, 32), (9, 2, 33)])
+    def test_stack_is_the_one_by_one_draws(self, rows, cols, count):
+        rng, ref = np.random.default_rng(count), np.random.default_rng(count)
+        stack = haar_orthonormal_columns(rows, cols, rng, count)
+        want = np.stack([haar_one_by_one(rows, cols, ref) for _ in range(count)])
+        assert stack.shape == (count, rows, cols)
+        assert np.array_equal(stack, want)
+        assert state(rng) == state(ref)
+        single = haar_orthonormal_columns(rows, cols, rng)
+        assert np.array_equal(single, haar_one_by_one(rows, cols, ref))
+        assert state(rng) == state(ref)
+
+    @pytest.mark.parametrize("count", [None, 1, 7])
+    def test_rank_deficient_draw_is_retried_as_one_by_one(self, monkeypatch, count):
+        # the draw of the last candidate's normals comes out rank deficient
+        rows, cols, n = 6, 3, 1 if count is None else count
+        normals = np.random.default_rng(8).standard_normal((n, 2, rows, cols))
+        bad = np.sqrt(0.5) * (normals[-1, 0] + 1j * normals[-1, 1])
+        monkeypatch.setattr(np.linalg, "qr", zero_diagonal_entry_of(bad))
+        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
+        got = haar_orthonormal_columns(rows, cols, rng, count)
+        want = np.stack([haar_one_by_one(rows, cols, ref) for _ in range(n)])
+        assert np.array_equal(got, want[0] if count is None else want)
+        assert state(rng) == state(ref)
+        # the retry drew once more than the draws without the fault
+        clean = np.random.default_rng(8)
+        clean.standard_normal((n + 1, 2, rows, cols))
+        assert state(rng) == state(clean)
+
+    @pytest.mark.parametrize("count", [None, 4])
+    def test_stays_rank_deficient_after_three_draws(self, monkeypatch, count):
+        monkeypatch.setattr(np.linalg, "qr", zero_diagonal_entry_of(None))
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            haar_orthonormal_columns(6, 3, np.random.default_rng(0), count)
+        assert str(got.value) == "random matrix stayed rank deficient after 3 draws"
+
+    def test_lemma_retries_like_the_loop(self, monkeypatch):
+        from fddjam.channel import exponential_covariance
+        from fddjam.jammer import verify_lemma
+        from fddjam.training import TrainingConfig, optimal_pilots
+        from oracles import verify_lemma_one_by_one
+
+        normals = np.random.default_rng(2).standard_normal((40, 2, 6, 3))
+        bad = np.sqrt(0.5) * (normals[37, 0] + 1j * normals[37, 1])
+        monkeypatch.setattr(np.linalg, "qr", zero_diagonal_entry_of(bad))
+        cfg = TrainingConfig(8, 6, 3, 5.0, 5.0, bs_correlation=0.7)
+        bs_cov, jam_cov = exponential_covariance(8, 0.7), exponential_covariance(6, 0.7)
+        pilots = optimal_pilots(bs_cov, 3)
+        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
+        got = verify_lemma(bs_cov, jam_cov, pilots, cfg, 70, rng)
+        assert got == verify_lemma_one_by_one(bs_cov, jam_cov, pilots, cfg, 70, ref)
+        assert state(rng) == state(ref)
+
+
+class TestStackedSolve:
+    def stack(self, n=5, size=4):
+        rng = np.random.default_rng(n)
+        return np.stack([random_hermitian(size, rng, definite=True) for _ in range(n)])
+
+    @pytest.mark.parametrize("rhs_shape", [(4,), (4, 3)])
+    def test_each_entry_is_its_solve_alone(self, rhs_shape):
+        a = self.stack()
+        b = np.random.default_rng(1).standard_normal(rhs_shape) + 0j
+        x = solve_hpd(a, b)
+        assert x.shape == (len(a), *rhs_shape)
+        for ai, xi in zip(a, x):
+            assert np.array_equal(xi, solve_hpd(ai, b))
+
+    def test_one_indefinite_matrix_fails_the_stack(self):
+        a = self.stack()
+        a[3] = -a[3]
+        with pytest.raises(np.linalg.LinAlgError, match="positive definite"):
+            solve_hpd(a, np.ones(4))
+
+    def test_one_non_hermitian_matrix_fails_the_stack(self):
+        a = self.stack()
+        a[2, 0, 1] += 1.0
+        with pytest.raises(ValueError, match="not Hermitian"):
+            solve_hpd(a, np.ones(4))
+
+    def test_rejects_four_dimensional_lhs(self):
+        with pytest.raises(ValueError, match="stack of matrices"):
+            solve_hpd(np.ones((2, 2, 3, 3)), np.ones(3))
 
 
 def blas_thread_counts():

@@ -25,7 +25,9 @@ from fddjam.training import (
     UnitaryBlock,
     _closed_form,
     _eigen_pilot_terms,
+    _jamming_term,
     _mmse_filter,
+    _pilot_terms,
     empirical_mse,
     optimal_pilots,
     random_unitary_pilots,
@@ -283,6 +285,31 @@ class TestClosedFormMse:
             jam = UnitaryBlock(haar_orthonormal_columns(8, 4, rng))
             jammed = scenario_closed_form_mse(pilots, jam, cov, jcov, cfg)
             assert jammed >= silent - 1e-12
+
+
+class TestStackedJamming:
+    """A stack of jamming terms, as the lemma oracle evaluates its candidates."""
+
+    def inputs(self, M=8, N=6, L=3, n=9):
+        cfg = make_cfg(M=M, N=N, L=L, rg=0.5)
+        cov, jcov = exponential_covariance(M, 0.7), exponential_covariance(N, 0.5)
+        zs = haar_orthonormal_columns(N, L, np.random.default_rng(n), n)
+        return _pilot_terms(optimal_pilots(cov, L), cov, cfg), zs, jcov, cfg
+
+    @pytest.mark.parametrize("L", [1, 3, 6])
+    def test_each_value_is_its_term_alone(self, L):
+        terms, zs, jcov, cfg = self.inputs(L=L)
+        jams = _jamming_term(zs, jcov, cfg)
+        assert jams.shape == (len(zs), L, L)
+        for z, jam in zip(zs, jams):
+            assert np.array_equal(jam, _jamming_term(z, jcov, cfg))
+        values = _closed_form(terms, jams, jammer_aware=True)
+        assert values == [_closed_form(terms, jam, jammer_aware=True) for jam in jams]
+
+    def test_unaware_stack_is_rejected(self):
+        terms, zs, jcov, cfg = self.inputs()
+        with pytest.raises(ValueError, match="jammer-aware"):
+            _closed_form(terms, _jamming_term(zs, jcov, cfg), jammer_aware=False)
 
 
 def random_covariance(size, rng, general):
