@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import _count, _finite_matrix
+from .linalg import _count, _finite_matrix, _real
 from .tolerances import HERMITIAN_ATOL, PSD_EIG_FLOOR, SPECTRUM_RANK_EPS, UNIT_DIAGONAL_ATOL
 
 __all__ = [
@@ -93,9 +93,7 @@ def _checked_exponential(size: int, coefficient: float) -> tuple[int, float]:
     than one antenna), cached or not.
     """
     size = _count(size, "size", 1)
-    c = float(coefficient)
-    if not 0.0 <= c <= 1.0:
-        raise ValueError(f"correlation coefficient must lie in [0, 1], got {c}")
+    c = _real(coefficient, "coefficient", 0.0, 1.0)
     if c == 1.0 and size > 1:
         warnings.warn(
             "correlation coefficient 1 gives a rank-one (singular) covariance",

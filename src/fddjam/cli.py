@@ -18,20 +18,15 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (
-    _AXIS_FIELDS,
-    _SCALAR_OPTIONAL,
-    _SCALAR_REQUIRED,
     CSV_HEADER,
-    ConfigError,
     FIGURE_SEED,
     JAMMING_CHOICES,
     ExperimentSpec,
     Scenario,
     _build_pilots,
-    _check_keys,
     _covariances,
     _evaluate_scenario,
-    _training_config_from_dict,
+    _lemma_from_dict,
     figure_spec,
     row_fields,
     run_sweep,
@@ -125,25 +120,12 @@ def _cmd_figure(args) -> int:
     return 0
 
 
-_VERIFY_REQUIRED = _SCALAR_REQUIRED | set(_AXIS_FIELDS.values())
-_VERIFY_OPTIONAL = _SCALAR_OPTIONAL | {"pilot_design", "num_random", "seed"}
-
-
 def _cmd_verify_lemma(args) -> int:
-    data = _load_json(args.config)
-    _check_keys(data, _VERIFY_REQUIRED, _VERIFY_OPTIONAL)
-    cfg = _training_config_from_dict(data)
-    pilot_design = data.get("pilot_design", "optimal")
-    if pilot_design not in PILOT_DESIGNS:
-        raise ConfigError(
-            f"pilot_design must be one of {PILOT_DESIGNS}, got {pilot_design!r}"
-        )
-    seed = _count(data.get("seed", 0), "seed")
-
+    cfg, pilot_design, num_random, seed = _lemma_from_dict(_load_json(args.config))
     bs_cov, jam_cov = _covariances(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pilots = _build_pilots(pilot_design, bs_cov, cfg.pilot_length, rng)
-    verdict = verify_lemma(bs_cov, jam_cov, pilots, cfg, data.get("num_random", 500), rng)
+    verdict = verify_lemma(bs_cov, jam_cov, pilots, cfg, num_random, rng)
 
     def fmt(value):
         return "n/a" if value is None else format(value, ".12g")
@@ -163,8 +145,7 @@ def _cmd_mse(args) -> int:
         num_jammer_antennas=args.N if args.N is not None else args.M,
         pilot_length=args.L,
         bs_power_db=args.pb_db,
-        jammer_power_db=args.pj_db if args.pj_db is not None else args.pb_db,
-        noise_variance=1.0,
+        jammer_power_db=args.pj_db,
         bs_correlation=args.r,
         jammer_correlation=args.rg,
     )

@@ -412,7 +412,7 @@ def _parse_float(text: str) -> float | None:
 
 
 def read_results(path) -> list[ResultRow]:
-    """Read a results CSV written by ``write_results``."""
+    """Read a results CSV written by ``write_results``; a bad one raises ``ConfigError``."""
     path = Path(path)
     try:
         with open(path, newline="") as fh:
@@ -422,19 +422,21 @@ def read_results(path) -> list[ResultRow]:
                 raise ConfigError(f"unexpected CSV header in {path}: {header}")
             rows = []
             for record in reader:
-                if len(record) != len(CSV_HEADER):
-                    raise ConfigError(f"malformed CSV record in {path}: {record}")
-                rows.append(
-                    ResultRow(
-                        axis_value=int(record[0]),
-                        pilot_design=record[1],
-                        jamming=record[2],
-                        estimator_mode=record[3],
-                        closed_form_mse=float(record[4]),
-                        empirical_mse=_parse_float(record[5]),
-                        empirical_std_err=_parse_float(record[6]),
+                try:
+                    axis, design, jamming, mode, closed, mc, std_err = record
+                    rows.append(
+                        ResultRow(
+                            axis_value=int(axis),
+                            pilot_design=design,
+                            jamming=jamming,
+                            estimator_mode=mode,
+                            closed_form_mse=float(closed),
+                            empirical_mse=_parse_float(mc),
+                            empirical_std_err=_parse_float(std_err),
+                        )
                     )
-                )
+                except ValueError as exc:
+                    raise ConfigError(f"malformed CSV record in {path}: {record}: {exc}") from exc
     except OSError as exc:
         raise OSError(f"failed to read results from {path}: {exc}") from exc
     return rows
@@ -478,36 +480,23 @@ def _check_keys(data, required: frozenset, optional: frozenset) -> None:
 
 
 def _training_config_from_dict(data: dict) -> TrainingConfig:
-    """TrainingConfig from the flat config scalars.
-
-    ``jammer_power_db`` defaults to ``bs_power_db``, ``noise_variance`` to 1
-    and ``jammer_correlation`` to ``bs_correlation``.
-    """
+    """TrainingConfig from the flat config's TrainingConfig keys; it owns the
+    defaults of the keys left out."""
+    fields = {f.name: data[f.name] for f in dataclasses.fields(TrainingConfig) if f.name in data}
     try:
-        return TrainingConfig(
-            num_bs_antennas=data["num_bs_antennas"],
-            num_jammer_antennas=data["num_jammer_antennas"],
-            pilot_length=data["pilot_length"],
-            bs_power_db=float(data["bs_power_db"]),
-            jammer_power_db=float(data.get("jammer_power_db", data["bs_power_db"])),
-            noise_variance=float(data.get("noise_variance", 1.0)),
-            bs_correlation=float(data["bs_correlation"]),
-            jammer_correlation=(
-                None if data.get("jammer_correlation") is None
-                else float(data["jammer_correlation"])
-            ),
-        )
-    except (TypeError, ValueError) as exc:
+        return TrainingConfig(**fields)
+    except ValueError as exc:
         raise ConfigError(f"invalid training parameters: {exc}") from exc
 
 
 def spec_from_dict(data: dict) -> ExperimentSpec:
     """Build an ExperimentSpec from the flat config schema.
 
-    Unknown keys raise ``ConfigError``. ``jammer_power_db`` defaults to
-    ``bs_power_db`` and ``jammer_correlation`` to ``bs_correlation``. The
-    swept base field (``pilot_length`` or ``num_bs_antennas``) may be
-    omitted; it is then seeded with the first axis value.
+    Unknown keys and bad values raise ``ConfigError``. ``TrainingConfig``
+    gives the defaults of the scalar keys left out, and of a null
+    ``jammer_power_db`` or ``jammer_correlation``. The swept base field
+    (``pilot_length`` or ``num_bs_antennas``) may be omitted; it is then
+    seeded with the first axis value.
     """
     _check_keys(data, _REQUIRED_KEYS, _OPTIONAL_KEYS)
 
@@ -530,13 +519,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             raise ConfigError(
                 f"scenario needs 'pilot_design' and 'jamming' keys, got {sorted(entry)}"
             )
-        scenarios.append(
-            Scenario(
-                pilot_design=entry["pilot_design"],
-                jamming=entry["jamming"],
-                estimator_mode=entry.get("estimator_mode", "jammer-aware"),
-            )
-        )
+        scenarios.append(Scenario(**entry))
 
     if sweep_axis not in _AXIS_FIELDS:
         raise ConfigError(f"unknown sweep axis {sweep_axis!r}; expected one of {SWEEP_AXES}")
@@ -558,6 +541,25 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     )
 
 
+_LEMMA_REQUIRED = _SCALAR_REQUIRED | set(_AXIS_FIELDS.values())
+_LEMMA_OPTIONAL = _SCALAR_OPTIONAL | {"pilot_design", "num_random", "seed"}
+
+
+def _lemma_from_dict(data) -> tuple[TrainingConfig, str, object, int]:
+    """``(cfg, pilot_design, num_random, seed)`` of a ``verify-lemma`` config:
+    the sweep's scalar keys and ``pilot_length``; a bad key or value raises
+    ``ConfigError``, except ``num_random``, which ``verify_lemma`` checks."""
+    _check_keys(data, _LEMMA_REQUIRED, _LEMMA_OPTIONAL)
+    cfg = _training_config_from_dict(data)
+    pilot_design = data.get("pilot_design", "optimal")
+    if pilot_design not in PILOT_DESIGNS:
+        raise ConfigError(
+            f"pilot_design must be one of {PILOT_DESIGNS}, got {pilot_design!r}"
+        )
+    seed = _count(data.get("seed", 0), "seed", error=ConfigError)
+    return cfg, pilot_design, data.get("num_random", 500), seed
+
+
 def load_metadata_spec(path) -> ExperimentSpec:
     """Rebuild the experiment definition from a metadata sidecar."""
     path = Path(path)
@@ -566,6 +568,8 @@ def load_metadata_spec(path) -> ExperimentSpec:
             doc = json.load(fh)
     except OSError as exc:
         raise OSError(f"failed to read metadata from {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict) or "spec" not in doc:
         raise ConfigError(f"{path} is not a results metadata document")
     return spec_from_dict(doc["spec"])
@@ -608,8 +612,6 @@ def figure_spec(
         num_jammer_antennas=num_jam,
         pilot_length=length,
         bs_power_db=5.0,
-        jammer_power_db=5.0,
-        noise_variance=1.0,
         bs_correlation=correlation,
     )
     return ExperimentSpec(

@@ -14,6 +14,7 @@ import contextlib
 import ctypes
 import functools
 import math
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +42,22 @@ def _count(value, name: str, low: int = 0, high: float = math.inf, error=ValueEr
         return int(value)
     bounds = f"from {low} to {high}" if high < math.inf else f">= {low}"
     raise error(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def _real(value, name: str, low: float, high: float) -> float:
+    """``value`` as a ``float`` from ``low`` to ``high``, else ``ValueError`` naming ``name``.
+
+    A Python or numpy real is a number; a bool, None, a string, a complex or
+    NaN is not.
+    """
+    # a float skips the ABC check, which takes a microsecond, on every closed-form row
+    if isinstance(value, float) or (isinstance(value, numbers.Real) and type(value) is not bool):
+        try:
+            if low <= (number := float(value)) <= high:
+                return number
+        except OverflowError:  # an int past the float range
+            pass
+    raise ValueError(f"{name} must be a real number in [{low:g}, {high:g}], got {value!r}")
 
 
 def _finite_matrix(a, dtype, name: str, stack: bool = False) -> np.ndarray:
@@ -134,10 +151,19 @@ def sample_complex_gaussian(
         raise ValueError(
             f"covariance is not positive semidefinite (min eigenvalue {w.min():.3e})"
         )
-    shape = (w.shape[0], _count(size, "size"))
-    scale = np.sqrt(np.clip(w, 0.0, None))
-    e = np.sqrt(0.5) * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    return eigenvectors @ (scale[:, None] * e)
+    e = _complex_normals(rng, (w.shape[0], _count(size, "size")), np.sqrt(0.5))
+    return eigenvectors @ (np.sqrt(np.clip(w, 0.0, None))[:, None] * e)
+
+
+def _complex_normals(rng: np.random.Generator, shape: tuple, scale: float) -> np.ndarray:
+    """``scale * (re + 1j * im)`` for standard normals ``re`` and ``im`` of
+    ``shape``, with the bits of that expression but built in place. One draw
+    gives each trailing matrix's ``re`` then ``im``, as two draws would."""
+    normals = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+    x = normals[..., 1, :, :] * 1j
+    x += normals[..., 0, :, :]
+    x *= scale
+    return x
 
 
 def haar_orthonormal_columns(
@@ -182,15 +208,9 @@ def _haar_retried(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
 def _haar_draw(size: int, rows: int, cols: int, rng: np.random.Generator):
     """A stack of ``size`` Haar matrices, or None if one draw is rank deficient.
 
-    The normals of each matrix come real part first, then imaginary part,
-    so one draw of ``(size, 2, rows, cols)`` is the stream of ``size``
-    sequential pairs of ``(rows, cols)`` draws.
+    Its normals are the stream of ``size`` sequential draws of one matrix.
     """
-    normals = rng.standard_normal((size, 2, rows, cols))
-    # sqrt(0.5) * (re + 1j * im), built in place: the same bits, one array
-    x = normals[:, 1] * 1j
-    x += normals[:, 0]
-    x *= np.sqrt(0.5)
+    x = _complex_normals(rng, (size, rows, cols), np.sqrt(0.5))
     q, r = np.linalg.qr(x, mode="reduced")
     d = np.diagonal(r, axis1=-2, axis2=-1)
     if not float(np.min(np.abs(d))) > 1e-12:

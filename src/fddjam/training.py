@@ -14,14 +14,17 @@ Monte-Carlo evaluation is provided as an independent check.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelCovariance, exponential_spectrum
 from .linalg import (
+    _complex_normals,
     _count,
     _finite_matrix,
+    _real,
     haar_orthonormal_columns,
     require_orthonormal_columns,
     sample_complex_gaussian,
@@ -50,6 +53,15 @@ ESTIMATOR_MODES = ("jammer-aware", "jammer-unaware")
 
 # A block spans at most one symbol per antenna of its transmitter.
 _BLOCK_LENGTH = "pilot_length (at most the transmitter's antennas)"
+
+# TrainingConfig's real fields and their bounds
+_REAL_FIELDS = (
+    ("noise_variance", 0.0, sys.float_info.max),
+    ("bs_correlation", 0.0, 1.0),
+    ("jammer_correlation", 0.0, 1.0),
+    ("bs_power_db", -math.inf, math.inf),
+    ("jammer_power_db", -math.inf, math.inf),
+)
 
 # Monte-Carlo trials per spawned stream; changing it changes every MC result.
 _MC_CHUNK = 4096
@@ -86,17 +98,20 @@ class TrainingConfig:
     """Scalar parameters of one training scenario.
 
     Powers are given in dB relative to the noise variance: the linear powers
-    are ``noise_variance * 10 ** (db / 10)``. ``noise_variance = 0`` is
-    accepted as a noiseless testing mode; the dB values are then read against
-    a unit reference instead. ``jammer_correlation`` defaults to
-    ``bs_correlation`` when left unset.
+    are ``noise_variance * 10 ** (db / 10)``, and ``-inf`` dB switches a
+    transmitter off. ``noise_variance = 0`` is accepted as a noiseless testing
+    mode; the dB values are then read against a unit reference instead.
+    ``jammer_power_db`` and ``jammer_correlation`` default to ``bs_power_db``
+    and ``bs_correlation`` when left unset (None). Every real field must be a
+    real number, not a bool, and is stored as a ``float``; anything else
+    raises ``ValueError`` naming the field.
     """
 
     num_bs_antennas: int
     num_jammer_antennas: int
     pilot_length: int
     bs_power_db: float
-    jammer_power_db: float
+    jammer_power_db: float | None = None
     noise_variance: float = 1.0
     bs_correlation: float = 0.0
     jammer_correlation: float | None = None
@@ -108,32 +123,23 @@ class TrainingConfig:
             self, "pilot_length",
             _count(self.pilot_length, _BLOCK_LENGTH, 1, self.num_bs_antennas),
         )
-        if not 0 <= self.noise_variance < math.inf:
-            raise ValueError(
-                f"noise_variance must be finite and >= 0, got {self.noise_variance}"
-            )
+        if self.jammer_power_db is None:
+            object.__setattr__(self, "jammer_power_db", self.bs_power_db)
+        if self.jammer_correlation is None:
+            object.__setattr__(self, "jammer_correlation", self.bs_correlation)
+        for field, low, high in _REAL_FIELDS:
+            object.__setattr__(self, field, _real(getattr(self, field), field, low, high))
         for field in ("bs_power_db", "jammer_power_db"):
             value = getattr(self, field)
-            # -inf dB is a switched-off transmitter; NaN or a power that
-            # overflows would only fail later, inside a solver
+            # a power that overflows would only fail later, inside a solver
             try:
                 linear = _db_to_linear(value, self.noise_variance)
             except OverflowError:
                 linear = math.inf
-            if math.isnan(value) or not math.isfinite(linear):
+            if not math.isfinite(linear):
                 raise ValueError(
                     f"{field} must be a number whose linear power is finite, got {value!r}"
                 )
-        if not 0.0 <= self.bs_correlation <= 1.0:
-            raise ValueError(
-                f"bs_correlation must lie in [0, 1], got {self.bs_correlation}"
-            )
-        if self.jammer_correlation is None:
-            object.__setattr__(self, "jammer_correlation", float(self.bs_correlation))
-        elif not 0.0 <= self.jammer_correlation <= 1.0:
-            raise ValueError(
-                f"jammer_correlation must lie in [0, 1], got {self.jammer_correlation}"
-            )
 
     @property
     def bs_power(self) -> float:
@@ -476,9 +482,7 @@ def empirical_mse(
         if jam_gain is not None:
             g = sample_complex_gaussian(jam_cov.eigenvalues, jam_cov.eigenvectors, stream, k)
             y = y + jam_gain @ g
-        y = y + noise_scale * (
-            stream.standard_normal((length, k)) + 1j * stream.standard_normal((length, k))
-        )
+        y = y + _complex_normals(stream, (length, k), noise_scale)
         err = h - a @ y
         per_trial[start : start + k] = (np.abs(err) ** 2).sum(axis=0) / m
         start += k

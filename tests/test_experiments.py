@@ -415,6 +415,23 @@ class TestCsvRoundTrip:
         with pytest.raises(ConfigError, match="header"):
             read_results(path)
 
+    @pytest.mark.parametrize(
+        ("record", "problem"),
+        [("x,optimal,silent,jammer-aware,0.5,,", "invalid literal for int"),
+         ("5,optimal,silent,jammer-aware,abc,,", "could not convert string to float"),
+         ("5,optimal,silent,jammer-aware,0.5,0.4,nope", "could not convert string to float"),
+         ("5,optimal,silent", "not enough values")],
+        ids=["axis", "closed", "std-err", "short"],
+    )
+    def test_read_names_file_and_record_of_a_bad_field(self, tmp_path, record, problem):
+        path = tmp_path / "bad.csv"
+        path.write_text(",".join(CSV_HEADER) + "\n" + record + "\n")
+        with pytest.raises(ConfigError, match="malformed CSV record") as info:
+            read_results(path)
+        message = str(info.value)
+        assert str(path) in message and repr(record.split(",")) in message
+        assert problem in message
+
     def test_write_failure_carries_path(self, tmp_path):
         target = tmp_path / "missing" / "out.csv"
         with pytest.raises(OSError, match="out.csv"):
@@ -428,6 +445,12 @@ class TestMetadataSidecar:
         assert not metadata_path(path).exists()
         write_results([], path, spec=small_spec())
         assert metadata_path(path).exists()
+
+    def test_broken_json_names_file(self, tmp_path):
+        meta = tmp_path / "results.meta.json"
+        meta.write_text('{"spec": ')
+        with pytest.raises(ConfigError, match=f"{meta} is not valid JSON"):
+            load_metadata_spec(meta)
 
     def test_sidecar_spec_round_trip(self, tmp_path):
         spec = small_spec(trials=100, seed=9)
@@ -484,6 +507,16 @@ class TestConfigSchema:
         assert spec.seed == 0
         assert spec.base.pilot_length == 2  # seeded from the first axis value
         assert spec.scenarios[0].estimator_mode == "jammer-aware"
+
+    def test_lemma_config_defaults(self):
+        data = {**self.base_dict(), "pilot_length": 2}
+        for key in ("sweep_axis", "axis_values", "scenarios"):
+            del data[key]
+        cfg, pilot_design, num_random, seed = experiments._lemma_from_dict(data)
+        assert cfg == spec_from_dict(self.base_dict()).base
+        assert (pilot_design, num_random, seed) == ("optimal", 500, 0)
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            experiments._lemma_from_dict(self.base_dict())
 
     def test_unknown_key_is_hard_error(self):
         data = self.base_dict()
