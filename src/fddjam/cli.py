@@ -27,6 +27,7 @@ from .experiments import (
     _covariances,
     _evaluate_scenario,
     _lemma_from_dict,
+    _open_text,
     figure_spec,
     row_fields,
     run_sweep,
@@ -92,7 +93,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path: Path) -> dict:
-    with open(path) as fh:
+    with _open_text(path, "config") as fh:
         return json.load(fh)
 
 
@@ -179,7 +180,7 @@ def main(argv=None) -> int:
         with _single_blas_thread():
             return _COMMANDS[args.command](args)
     # LinAlgError subclasses ValueError, so compute errors are caught first;
-    # ValueError still covers ConfigError and JSONDecodeError.
+    # ValueError still covers ConfigError.
     except (ArithmeticError, np.linalg.LinAlgError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -9,6 +9,7 @@ exactly from its sidecar.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import dataclasses
 import json
@@ -411,34 +412,50 @@ def _parse_float(text: str) -> float | None:
     return None if text == "" else float(text)
 
 
+@contextlib.contextmanager
+def _open_text(path: Path, what: str):
+    """The UTF-8 text file at ``path``, opened without newline translation.
+
+    A file that cannot be read raises ``OSError``; one that is not UTF-8
+    text, or not valid JSON when the caller parses it, raises
+    ``ConfigError``. Each names ``path``.
+    """
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            yield fh
+    except OSError as exc:
+        raise OSError(f"failed to read {what} from {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path} is not UTF-8 text: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+
+
 def read_results(path) -> list[ResultRow]:
     """Read a results CSV written by ``write_results``; a bad one raises ``ConfigError``."""
     path = Path(path)
-    try:
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header != list(CSV_HEADER):
-                raise ConfigError(f"unexpected CSV header in {path}: {header}")
-            rows = []
-            for record in reader:
-                try:
-                    axis, design, jamming, mode, closed, mc, std_err = record
-                    rows.append(
-                        ResultRow(
-                            axis_value=int(axis),
-                            pilot_design=design,
-                            jamming=jamming,
-                            estimator_mode=mode,
-                            closed_form_mse=float(closed),
-                            empirical_mse=_parse_float(mc),
-                            empirical_std_err=_parse_float(std_err),
-                        )
+    with _open_text(path, "results") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header != list(CSV_HEADER):
+            raise ConfigError(f"unexpected CSV header in {path}: {header}")
+        rows = []
+        for record in reader:
+            try:
+                axis, design, jamming, mode, closed, mc, std_err = record
+                rows.append(
+                    ResultRow(
+                        axis_value=int(axis),
+                        pilot_design=design,
+                        jamming=jamming,
+                        estimator_mode=mode,
+                        closed_form_mse=float(closed),
+                        empirical_mse=_parse_float(mc),
+                        empirical_std_err=_parse_float(std_err),
                     )
-                except ValueError as exc:
-                    raise ConfigError(f"malformed CSV record in {path}: {record}: {exc}") from exc
-    except OSError as exc:
-        raise OSError(f"failed to read results from {path}: {exc}") from exc
+                )
+            except ValueError as exc:
+                raise ConfigError(f"malformed CSV record in {path}: {record}: {exc}") from exc
     return rows
 
 
@@ -563,13 +580,8 @@ def _lemma_from_dict(data) -> tuple[TrainingConfig, str, object, int]:
 def load_metadata_spec(path) -> ExperimentSpec:
     """Rebuild the experiment definition from a metadata sidecar."""
     path = Path(path)
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise OSError(f"failed to read metadata from {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    with _open_text(path, "metadata") as fh:
+        doc = json.load(fh)
     if not isinstance(doc, dict) or "spec" not in doc:
         raise ConfigError(f"{path} is not a results metadata document")
     return spec_from_dict(doc["spec"])

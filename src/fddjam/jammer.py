@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelCovariance, _exponential_block, exponential_spectrum
-from .linalg import _count, haar_orthonormal_columns
+from .linalg import _count, _real_times, haar_orthonormal_columns
 from .tolerances import KY_FAN_SLACK
 from .training import (
     TrainingConfig,
@@ -97,7 +97,7 @@ def jamming_objective(jamming: UnitaryBlock, jam_cov: ChannelCovariance) -> floa
             f"has {jam_cov.size}"
         )
     z = jamming.matrix
-    return float(np.vdot(z, jam_cov.matrix @ z).real)
+    return float(np.vdot(z, _real_times(jam_cov.matrix, z)).real)
 
 
 @dataclass(frozen=True)
@@ -138,8 +138,9 @@ def verify_lemma(
 
     Both MSEs come from the training-length closed form that
     ``scenario_closed_form_mse`` uses; the pilot-side terms are computed once,
-    so each candidate costs one congruence ``Z^H C_jam Z`` and one ``L x L``
-    solve.
+    so each candidate costs one product ``C_jam Z``, real when ``C_jam`` is,
+    which serves both the trace objective and ``(C_jam Z)^H Z``, and one
+    ``L x L`` solve.
 
     Candidates are drawn from ``rng`` and evaluated in stacks of
     ``_LEMMA_STACK``, with one stacked call per step, on the calling thread.
@@ -165,9 +166,10 @@ def verify_lemma(
     def evaluate(zs):
         """Trace objectives and MSEs of a stack of candidates."""
         try:
-            czs = jam_cov.matrix @ zs
+            czs = _real_times(jam_cov.matrix, zs)
             objectives = [float(np.vdot(z, cz).real) for z, cz in zip(zs, czs)]
-            return objectives, _closed_form(terms, _jamming_term(zs, jam_cov, cfg), True)
+            jams = _jamming_term(zs, jam_cov, cfg, czs)
+            return objectives, _closed_form(terms, jams, True)
         except (ArithmeticError, ValueError):
             if len(zs) > 1:
                 # the first failing candidate raises its own error, as alone

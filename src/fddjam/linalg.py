@@ -2,10 +2,14 @@
 
 Covariances, eigenvectors, pilot and jamming blocks are numpy
 ``complex128`` arrays. A covariance's eigendecomposition lives in
-``channel.ChannelCovariance``; ``sample_complex_gaussian`` draws from its
-eigenpairs. ``solve_hpd`` keeps a real system real: the closed form of
-eigenvector pilots reduces to real ``L x L`` systems. Channel vectors are
-one dimensional; batches of vectors are stacked column-wise.
+``channel.ChannelCovariance``. Many of these arrays are real in value (the
+exponential covariance, its eigenvectors and the blocks built from them),
+and their products keep real arithmetic where the values allow it:
+``solve_hpd`` solves a real system in float64, ``_real_times`` multiplies
+a real matrix into a complex block as one real GEMM, and the Monte-Carlo
+trials of ``training.empirical_mse`` run on the raw normal draws, as real
+and imaginary planes, in the eigenbasis of the covariance. Channel vectors
+are one dimensional; batches of vectors are stacked column-wise.
 """
 
 from __future__ import annotations
@@ -19,12 +23,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .tolerances import HERMITIAN_ATOL, ORTHONORMAL_TOL, PSD_EIG_FLOOR
+from .tolerances import HERMITIAN_ATOL, ORTHONORMAL_TOL
 
 __all__ = [
     "haar_orthonormal_columns",
     "require_orthonormal_columns",
-    "sample_complex_gaussian",
     "solve_hpd",
 ]
 
@@ -72,6 +75,19 @@ def _finite_matrix(a, dtype, name: str, stack: bool = False) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _real_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``a @ x`` for a complex ``x``, one matrix or a stack of them.
+
+    When ``a``'s imaginary part is exactly 0, ``a``'s real part multiplies
+    the float64 view of ``x``, one real GEMM with half the flops of the
+    complex one; the view puts each column's real and imaginary parts side
+    by side. Any other ``a`` is a complex product.
+    """
+    if a.imag.any():
+        return a @ x
+    return (a.real @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
 
 
 def require_orthonormal_columns(matrix: np.ndarray, *, name: str = "matrix") -> None:
@@ -130,39 +146,15 @@ def solve_hpd(a, b) -> np.ndarray:
     return np.linalg.solve(a, rhs)
 
 
-def sample_complex_gaussian(
-    eigenvalues: np.ndarray, eigenvectors: np.ndarray, rng: np.random.Generator, size: int
-) -> np.ndarray:
-    """Draw circularly symmetric complex Gaussian vectors.
-
-    The covariance is supplied through its eigenpairs: column ``i`` of
-    ``eigenvectors`` pairs with ``eigenvalues[i]``. Samples are
-    ``U diag(sqrt(w)) e`` with ``e`` having i.i.d. unit-variance complex
-    normal entries (independent real and imaginary parts of variance 1/2).
-
-    Returns an ``(n, size)`` array with one sample per column. Identical
-    generator state gives a bit-identical sample sequence.
-
-    Eigenvalues inside ``[PSD_EIG_FLOOR, 0]`` are clamped to zero; anything
-    below the floor raises ``ValueError`` (covariance is not PSD).
-    """
-    w = eigenvalues
-    if w.size and float(w.min()) < PSD_EIG_FLOOR:
-        raise ValueError(
-            f"covariance is not positive semidefinite (min eigenvalue {w.min():.3e})"
-        )
-    e = _complex_normals(rng, (w.shape[0], _count(size, "size")), np.sqrt(0.5))
-    return eigenvectors @ (np.sqrt(np.clip(w, 0.0, None))[:, None] * e)
-
-
 def _complex_normals(rng: np.random.Generator, shape: tuple, scale: float) -> np.ndarray:
     """``scale * (re + 1j * im)`` for standard normals ``re`` and ``im`` of
-    ``shape``, with the bits of that expression but built in place. One draw
-    gives each trailing matrix's ``re`` then ``im``, as two draws would."""
+    ``shape``, with the bits of that expression. One draw gives each
+    trailing matrix's ``re`` then ``im``, as two draws would; both scaled
+    planes are written straight into the result's float64 view."""
     normals = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
-    x = normals[..., 1, :, :] * 1j
-    x += normals[..., 0, :, :]
-    x *= scale
+    x = np.empty(shape, np.complex128)
+    np.multiply(normals[..., 0, :, :], scale, out=x.real)
+    np.multiply(normals[..., 1, :, :], scale, out=x.imag)
     return x
 
 

@@ -21,13 +21,12 @@ import numpy as np
 
 from .channel import ChannelCovariance, exponential_spectrum
 from .linalg import (
-    _complex_normals,
     _count,
     _finite_matrix,
     _real,
+    _real_times,
     haar_orthonormal_columns,
     require_orthonormal_columns,
-    sample_complex_gaussian,
     solve_hpd,
 )
 from .tolerances import MSE_NEGATIVE_FLOOR
@@ -280,13 +279,18 @@ def _eigen_pilot_terms(design: str, cfg: TrainingConfig):
     return selected + noise, selected, float(m), m
 
 
-def _jamming_term(z: np.ndarray, jam_cov: ChannelCovariance, cfg: TrainingConfig) -> np.ndarray:
-    """Jamming term ``J = (jammer_power / bs_power) * (ZᴴC_j)Z`` of the received block.
+def _jamming_term(
+    z: np.ndarray, jam_cov: ChannelCovariance, cfg: TrainingConfig, cz: np.ndarray | None = None
+) -> np.ndarray:
+    """Jamming term ``J = (jammer_power / bs_power) * (C_jZ)ᴴZ`` of the received block.
 
     ``z`` may be an ``(n, N, L)`` stack of blocks, giving an ``(n, L, L)``
-    stack of terms.
+    stack of terms. A caller that has ``C_jZ`` already passes it as ``cz``;
+    it must be ``_real_times(jam_cov.matrix, z)``, which is computed otherwise.
     """
-    return (cfg.jammer_power / cfg.bs_power) * (z.conj().mT @ jam_cov.matrix @ z)
+    if cz is None:
+        cz = _real_times(jam_cov.matrix, z)
+    return (cfg.jammer_power / cfg.bs_power) * (cz.conj().mT @ z)
 
 
 def _as_matrix(a: np.ndarray) -> np.ndarray:
@@ -442,6 +446,21 @@ def scenario_closed_form_mse(
     return _closed_form(terms, jam, jammer_aware)
 
 
+def _planes_times(gain: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """``gain @ x`` for a complex block stored as its real and imaginary planes.
+
+    ``x`` is a ``(2, n, k)`` float64 array holding the real plane, then the
+    imaginary plane, of an ``(n, k)`` block; the result holds those of the
+    ``(m, k)`` product. A gain whose imaginary part is exactly 0 multiplies
+    each plane as a real matrix. Any other gain multiplies the ``(2n, k)``
+    view as its real block ``[[Gr, -Gi], [Gi, Gr]]``.
+    """
+    if not gain.imag.any():
+        return gain.real @ x
+    block = np.block([[gain.real, -gain.imag], [gain.imag, gain.real]])
+    return (block @ x.reshape(2 * x.shape[1], -1)).reshape(2, gain.shape[0], -1)
+
+
 def empirical_mse(
     pilots: UnitaryBlock,
     jamming: UnitaryBlock | None,
@@ -461,30 +480,46 @@ def empirical_mse(
     ``_MC_CHUNK``, each from its own stream spawned off ``rng``, so the result
     depends only on the generator state and ``trials``, not on how chunks are
     scheduled. The mean uses numpy's pairwise summation.
+
+    A trial runs in the eigenbasis of ``C = UΛUᴴ`` on the raw normals: the
+    channel is ``h = U·s·e`` with ``s = sqrt(Λ/2)`` and ``e`` the real and
+    imaginary planes of one ``standard_normal`` draw, and the jammer's
+    channel likewise. With the filter ``A``, the error is measured as
+    ``s·e - UᴴAy``, whose norm is that of ``h - Ay`` because ``U`` is
+    unitary. Every product is real when its matrix is (``_planes_times``).
     """
     trials = _count(trials, "trials", 1)
     a = _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
     length = pilots.length
-    bs_gain = np.sqrt(length * cfg.bs_power) * pilots.matrix.conj().T
+    m = cfg.num_bs_antennas
+
+    def scales(cov: ChannelCovariance) -> np.ndarray:
+        # sqrt(1/2)·Λ^(1/2), round-off negative eigenvalues taken as 0
+        return np.sqrt(0.5) * np.sqrt(np.clip(cov.eigenvalues, 0.0, None))
+
+    s = scales(bs_cov)
+    bs_gain = np.sqrt(length * cfg.bs_power) * (pilots.matrix.conj().T @ bs_cov.eigenvectors) * s
     jam_gain = None
     if jamming is not None:
-        jam_gain = np.sqrt(length * cfg.jammer_power) * jamming.matrix.conj().T
+        jam_gain = np.sqrt(length * cfg.jammer_power) * (
+            jamming.matrix.conj().T @ jam_cov.eigenvectors
+        ) * scales(jam_cov)
+    w = bs_cov.eigenvectors.conj().T @ a
     noise_scale = np.sqrt(cfg.noise_variance * 0.5)
-    m = cfg.num_bs_antennas
 
     per_trial = np.empty(trials)
     n_chunks = -(-trials // _MC_CHUNK)
     start = 0
     for stream in rng.spawn(n_chunks):
         k = min(_MC_CHUNK, trials - start)
-        h = sample_complex_gaussian(bs_cov.eigenvalues, bs_cov.eigenvectors, stream, k)
-        y = bs_gain @ h
+        e = stream.standard_normal((2, m, k))
+        y = _planes_times(bs_gain, e)
         if jam_gain is not None:
-            g = sample_complex_gaussian(jam_cov.eigenvalues, jam_cov.eigenvectors, stream, k)
-            y = y + jam_gain @ g
-        y = y + _complex_normals(stream, (length, k), noise_scale)
-        err = h - a @ y
-        per_trial[start : start + k] = (np.abs(err) ** 2).sum(axis=0) / m
+            y += _planes_times(jam_gain, stream.standard_normal((2, jam_gain.shape[1], k)))
+        y += noise_scale * stream.standard_normal((2, length, k))
+        err = _planes_times(w, y)
+        err -= s[:, None] * e
+        per_trial[start : start + k] = np.einsum("ijk,ijk->k", err, err) / m
         start += k
     mean = float(per_trial.mean())
     std_error = float(per_trial.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0

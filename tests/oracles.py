@@ -3,8 +3,10 @@
 These deliberately avoid the library's own code paths (and LAPACK where the
 library relies on it) so cross-checks stay meaningful: the full-dimension
 formulas solve through scipy's Cholesky routines, not the library's numpy
-solve. The one-candidate-at-a-time lemma loop at the end is the exception:
-it is a bit-for-bit reference, so it keeps the single-matrix closed form.
+solve. The one-candidate-at-a-time lemma loop is the exception: it is a
+bit-for-bit reference, so it keeps the single-matrix closed form. The
+complex-vector Monte-Carlo trial at the end is a round-off reference for
+the whitened real one, with the same filter.
 """
 
 import math
@@ -13,8 +15,17 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from fddjam.jammer import LemmaVerdict, jamming_objective, optimal_jamming
-from fddjam.tolerances import KY_FAN_SLACK
-from fddjam.training import _check_dimensions, _closed_form, _pilot_terms
+from fddjam.linalg import _count, _real_times
+from fddjam.tolerances import KY_FAN_SLACK, PSD_EIG_FLOOR
+from fddjam.training import (
+    _MC_CHUNK,
+    MonteCarloMse,
+    _check_dimensions,
+    _closed_form,
+    _jamming_term,
+    _mmse_filter,
+    _pilot_terms,
+)
 
 
 def solve_hpd(a, b):
@@ -148,17 +159,15 @@ def verify_lemma_one_by_one(bs_cov, jam_cov, pilots, cfg, num_random, rng):
     z_opt = optimal_jamming(jam_cov, length)
     _check_dimensions(pilots, z_opt, bs_cov, jam_cov, cfg)
     terms = _pilot_terms(pilots, bs_cov, cfg)
-    ratio = cfg.jammer_power / cfg.bs_power
-    c = jam_cov.matrix
     optimal_objective = jamming_objective(z_opt, jam_cov)
     optimal_mse = _closed_form(
-        terms, ratio * (z_opt.matrix.conj().T @ c @ z_opt.matrix), jammer_aware=True
+        terms, _jamming_term(z_opt.matrix, jam_cov, cfg), jammer_aware=True
     )
     best_objective = best_mse = None
     for _ in range(num_random):
         z = haar_one_by_one(jam_cov.size, length, rng)
-        objective = float(np.vdot(z, c @ z).real)
-        mse = _closed_form(terms, ratio * (z.conj().T @ c @ z), jammer_aware=True)
+        objective = float(np.vdot(z, _real_times(jam_cov.matrix, z)).real)
+        mse = _closed_form(terms, _jamming_term(z, jam_cov, cfg), jammer_aware=True)
         if best_objective is None or objective > best_objective:
             best_objective = objective
         if best_mse is None or mse > best_mse:
@@ -177,3 +186,59 @@ def verify_lemma_one_by_one(bs_cov, jam_cov, pilots, cfg, num_random, rng):
         mse_counterexample_found=best_mse is not None
         and best_mse > optimal_mse + KY_FAN_SLACK,
     )
+
+
+# The Monte-Carlo trial as it was before it ran whitened on the raw normal
+# planes: channels drawn as complex vectors through the covariance's
+# eigenvectors, complex products throughout. ``training.empirical_mse``
+# consumes the same normals from the same streams and must agree to
+# round-off.
+
+
+def complex_normals(rng, shape, scale):
+    """``scale * (re + 1j * im)``, drawn as ``linalg._complex_normals`` draws
+    it (each trailing matrix's ``re``, then its ``im``), as that expression."""
+    normals = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+    return scale * (normals[..., 0, :, :] + 1j * normals[..., 1, :, :])
+
+
+def sample_complex_gaussian(eigenvalues, eigenvectors, rng, size):
+    """Circularly symmetric complex Gaussian vectors ``U diag(sqrt(w)) e``, one per
+    column, from the covariance's eigenpairs; ``e`` has unit-variance complex
+    normal entries. Eigenvalues in ``[PSD_EIG_FLOOR, 0]`` count as zero, and
+    one below the floor raises ``ValueError``."""
+    w = eigenvalues
+    if w.size and float(w.min()) < PSD_EIG_FLOOR:
+        raise ValueError(
+            f"covariance is not positive semidefinite (min eigenvalue {w.min():.3e})"
+        )
+    e = complex_normals(rng, (w.shape[0], _count(size, "size")), np.sqrt(0.5))
+    return eigenvectors @ (np.sqrt(np.clip(w, 0.0, None))[:, None] * e)
+
+
+def empirical_mse_direct(pilots, jamming, bs_cov, jam_cov, cfg, *, trials, rng,
+                         estimator_mode="jammer-aware"):
+    """``training.empirical_mse`` with channels drawn as complex vectors and
+    the error ``h - Ay`` formed in the antenna basis."""
+    a = _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
+    length = pilots.length
+    bs_gain = np.sqrt(length * cfg.bs_power) * pilots.matrix.conj().T
+    jam_gain = None
+    if jamming is not None:
+        jam_gain = np.sqrt(length * cfg.jammer_power) * jamming.matrix.conj().T
+    noise_scale = np.sqrt(cfg.noise_variance * 0.5)
+    per_trial = np.empty(trials)
+    start = 0
+    for stream in rng.spawn(-(-trials // _MC_CHUNK)):
+        k = min(_MC_CHUNK, trials - start)
+        h = sample_complex_gaussian(bs_cov.eigenvalues, bs_cov.eigenvectors, stream, k)
+        y = bs_gain @ h
+        if jam_gain is not None:
+            g = sample_complex_gaussian(jam_cov.eigenvalues, jam_cov.eigenvectors, stream, k)
+            y = y + jam_gain @ g
+        y = y + complex_normals(stream, (length, k), noise_scale)
+        err = h - a @ y
+        per_trial[start : start + k] = (np.abs(err) ** 2).sum(axis=0) / cfg.num_bs_antennas
+        start += k
+    std_error = float(per_trial.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
+    return MonteCarloMse(mean=float(per_trial.mean()), std_error=std_error, trials=trials)

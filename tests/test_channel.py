@@ -9,7 +9,7 @@ from fddjam.channel import (
     exponential_covariance,
     exponential_spectrum,
 )
-from fddjam.linalg import sample_complex_gaussian
+from oracles import sample_complex_gaussian
 
 
 class TestExponentialCovariance:

@@ -175,6 +175,24 @@ class TestSweepCommand:
         assert code == 2
         assert "error:" in err
 
+    @pytest.mark.parametrize("command", ["sweep", "verify-lemma"])
+    @pytest.mark.parametrize(
+        ("content", "problem"),
+        [(b"{not json", "is not valid JSON"), (b"\xff\xfe{}", "is not UTF-8 text")],
+        ids=["broken-json", "utf16-bom"],
+    )
+    def test_unreadable_config_exit_2_naming_file(
+        self, capsys, tmp_path, command, content, problem
+    ):
+        config = tmp_path / "bad-config.json"
+        config.write_bytes(content)
+        argv = [command, "--config", str(config)]
+        if command == "sweep":
+            argv += ["--out", str(tmp_path)]
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert f"error: {config} {problem}" in err
+
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
         payload = self.config_payload()
         payload["bs_corelation"] = 0.7

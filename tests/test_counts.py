@@ -24,7 +24,7 @@ from fddjam.experiments import (
     spec_from_dict,
 )
 from fddjam.jammer import single_shot_jamming, verify_lemma
-from fddjam.linalg import _count, haar_orthonormal_columns, sample_complex_gaussian
+from fddjam.linalg import _count, haar_orthonormal_columns
 from fddjam.training import (
     TrainingConfig,
     empirical_mse,
@@ -32,6 +32,7 @@ from fddjam.training import (
     random_unitary_pilots,
     worst_case_pilots,
 )
+from oracles import sample_complex_gaussian
 
 COV = exponential_covariance(6, 0.5)
 CFG = TrainingConfig(6, 6, 2, 5.0, 5.0, bs_correlation=0.5)

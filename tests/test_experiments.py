@@ -432,6 +432,12 @@ class TestCsvRoundTrip:
         assert str(path) in message and repr(record.split(",")) in message
         assert problem in message
 
+    def test_read_names_a_file_that_is_not_utf8(self, tmp_path):
+        path = tmp_path / "utf16.csv"
+        path.write_bytes(b"\xff\xfe" + ",".join(CSV_HEADER).encode("utf-16-le"))
+        with pytest.raises(ConfigError, match=f"{path} is not UTF-8 text"):
+            read_results(path)
+
     def test_write_failure_carries_path(self, tmp_path):
         target = tmp_path / "missing" / "out.csv"
         with pytest.raises(OSError, match="out.csv"):
@@ -450,6 +456,12 @@ class TestMetadataSidecar:
         meta = tmp_path / "results.meta.json"
         meta.write_text('{"spec": ')
         with pytest.raises(ConfigError, match=f"{meta} is not valid JSON"):
+            load_metadata_spec(meta)
+
+    def test_non_utf8_names_file(self, tmp_path):
+        meta = tmp_path / "results.meta.json"
+        meta.write_bytes(b"\xff\xfe" + '{"spec": {}}'.encode("utf-16-le"))
+        with pytest.raises(ConfigError, match=f"{meta} is not UTF-8 text"):
             load_metadata_spec(meta)
 
     def test_sidecar_spec_round_trip(self, tmp_path):

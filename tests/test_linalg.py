@@ -11,14 +11,21 @@ from hypothesis import strategies as st
 from fddjam import linalg
 from fddjam.channel import ChannelCovariance
 from fddjam.linalg import (
+    _complex_normals,
     _openblas_copies,
+    _real_times,
     _single_blas_thread,
     haar_orthonormal_columns,
     require_orthonormal_columns,
-    sample_complex_gaussian,
     solve_hpd,
 )
-from oracles import haar_one_by_one, jacobi_eigenvalues, random_hermitian
+from oracles import (
+    complex_normals,
+    haar_one_by_one,
+    jacobi_eigenvalues,
+    random_hermitian,
+    sample_complex_gaussian,
+)
 
 # Relative Frobenius tolerance for rebuilding a matrix from its eigenpairs.
 EVD_RECONSTRUCTION_RTOL = 1e-9
@@ -234,6 +241,44 @@ class TestComplexGaussianSampling:
         w, u = np.array([1.0, -1e-11]), np.eye(2, dtype=complex)
         with pytest.raises(ValueError, match="semidefinite"):
             sample_complex_gaussian(w, u, np.random.default_rng(1), size=1)
+
+
+class TestComplexNormals:
+    @pytest.mark.parametrize("scale", [np.sqrt(0.5), np.sqrt(0.3 * 0.5)])
+    @pytest.mark.parametrize("shape", [(6, 500), (1, 1), (7, 4, 3)])
+    def test_bytes_of_the_expression(self, shape, scale):
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        got = _complex_normals(rng, shape, scale)
+        want = complex_normals(ref, shape, scale)
+        assert got.dtype == want.dtype == np.complex128
+        assert got.shape == want.shape == shape
+        assert got.tobytes() == want.tobytes()
+        assert state(rng) == state(ref)
+
+
+class TestRealTimes:
+    @pytest.mark.parametrize("shape", [(6, 3), (4, 6, 3)])
+    def test_real_matrix_matches_the_complex_product(self, shape):
+        rng = np.random.default_rng(2)
+        a = rng.standard_normal((5, 6)).astype(np.complex128)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        got = _real_times(a, x)
+        assert got.dtype == np.complex128
+        np.testing.assert_allclose(got, a @ x, rtol=1e-13, atol=1e-13)
+
+    def test_complex_matrix_is_the_complex_product(self):
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 6)) + 1j * rng.standard_normal((5, 6))
+        x = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
+        assert np.array_equal(_real_times(a, x), a @ x)
+
+    def test_stack_has_the_bits_of_each_matrix_alone(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal((8, 8)).astype(np.complex128)
+        x = haar_orthonormal_columns(8, 3, rng, count=9)
+        stacked = _real_times(a, x)
+        for z, cz in zip(x, stacked):
+            assert np.array_equal(cz, _real_times(a, z))
 
 
 class TestHaarColumns:

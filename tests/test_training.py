@@ -25,16 +25,18 @@ from fddjam.training import (
     UnitaryBlock,
     _closed_form,
     _eigen_pilot_terms,
+    _MC_CHUNK,
     _jamming_term,
     _mmse_filter,
     _pilot_terms,
+    _planes_times,
     empirical_mse,
     optimal_pilots,
     random_unitary_pilots,
     scenario_closed_form_mse,
     worst_case_pilots,
 )
-from oracles import estimate_covariance, full_dimension_mse
+from oracles import empirical_mse_direct, estimate_covariance, full_dimension_mse
 
 # Smallest admissible eigenvalue of the estimation-error covariance.
 ERROR_COV_PSD_FLOOR = -1e-9
@@ -637,3 +639,63 @@ class TestEmpiricalMse:
                 trials=0, rng=np.random.default_rng(0),
             )
 
+
+
+class TestWhitenedMonteCarlo:
+    """The trial on real and imaginary planes in the eigenbasis against the
+    complex-vector trial in the antenna basis, on the same normals."""
+
+    @staticmethod
+    def assert_matches_direct(pilots, jamming, cov, jcov, cfg, trials, mode="jammer-aware"):
+        args = (pilots, jamming, cov, jcov, cfg)
+        got = empirical_mse(*args, trials=trials, rng=np.random.default_rng(7),
+                            estimator_mode=mode)
+        want = empirical_mse_direct(*args, trials=trials, rng=np.random.default_rng(7),
+                                    estimator_mode=mode)
+        assert got.trials == want.trials == trials
+        assert got.mean == pytest.approx(want.mean, rel=1e-12, abs=0)
+        assert got.std_error == pytest.approx(want.std_error, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("nv", [1.0, 0.0])
+    @pytest.mark.parametrize("mode", ESTIMATOR_MODES)
+    @pytest.mark.parametrize("jamming", JAMMING_CHOICES)
+    @pytest.mark.parametrize("design", ["optimal", "random-unitary"])
+    def test_matches_complex_trials(self, design, jamming, mode, nv):
+        # eigen pilots give real gains and a real filter; random ones complex
+        M, N, L = 8, 6, 3
+        cfg = make_cfg(M=M, N=N, L=L, nv=nv, rg=0.5)
+        cov, jcov = exponential_covariance(M, 0.7), exponential_covariance(N, 0.5)
+        if design == "optimal":
+            pilots = optimal_pilots(cov, L)
+        else:
+            pilots = random_unitary_pilots(M, L, np.random.default_rng(3))
+        block = {"silent": None, "single-shot": single_shot_jamming(N, L),
+                 "eigen-optimal": optimal_jamming(jcov, L)}[jamming]
+        self.assert_matches_direct(pilots, block, cov, jcov, cfg, 300, mode)
+
+    def test_trials_spanning_two_chunks(self):
+        cfg = make_cfg(M=4, N=4, L=2)
+        cov = exponential_covariance(4, 0.7)
+        jam = optimal_jamming(cov, 2)
+        self.assert_matches_direct(optimal_pilots(cov, 2), jam, cov, cov, cfg, _MC_CHUNK + 37)
+
+    def test_general_covariances(self):
+        # complex eigenvectors and a rank-deficient spectrum on both links
+        rng = np.random.default_rng(11)
+        cov = random_covariance(7, rng, general=True)
+        jcov = random_covariance(5, rng, general=True)
+        cfg = make_cfg(M=7, N=5, L=3)
+        pilots = random_unitary_pilots(7, 3, rng)
+        jam = UnitaryBlock(haar_orthonormal_columns(5, 3, rng))
+        for mode in ESTIMATOR_MODES:
+            self.assert_matches_direct(pilots, jam, cov, jcov, cfg, 200, mode)
+
+    @pytest.mark.parametrize("imaginary", [0.0, 1.0])
+    def test_planes_product_is_the_complex_product(self, imaginary):
+        rng = np.random.default_rng(4)
+        gain = rng.standard_normal((5, 3)) + imaginary * 1j * rng.standard_normal((5, 3))
+        x = rng.standard_normal((2, 3, 9))
+        got = _planes_times(gain, x)
+        want = gain @ (x[0] + 1j * x[1])
+        assert got.shape == (2, 5, 9)
+        np.testing.assert_allclose(got[0] + 1j * got[1], want, rtol=1e-13, atol=1e-13)
