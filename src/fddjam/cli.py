@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .experiments import (
     _covariances,
     _evaluate_scenario,
     _lemma_from_dict,
-    _open_text,
+    _load_object,
     figure_spec,
     row_fields,
     run_sweep,
@@ -92,11 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_json(path: Path) -> dict:
-    with _open_text(path, "config") as fh:
-        return json.load(fh)
-
-
 def _write_sweep(spec: ExperimentSpec, out_dir: Path, stem: str) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     rows = run_sweep(spec)
@@ -106,7 +100,7 @@ def _write_sweep(spec: ExperimentSpec, out_dir: Path, stem: str) -> None:
 
 
 def _cmd_sweep(args) -> int:
-    spec = spec_from_dict(_load_json(args.config))
+    spec = spec_from_dict(_load_object(args.config, "config"))
     _write_sweep(spec, args.out, args.config.stem)
     return 0
 
@@ -122,7 +116,7 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_verify_lemma(args) -> int:
-    cfg, pilot_design, num_random, seed = _lemma_from_dict(_load_json(args.config))
+    cfg, pilot_design, num_random, seed = _lemma_from_dict(_load_object(args.config, "config"))
     bs_cov, jam_cov = _covariances(cfg)
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     pilots = _build_pilots(pilot_design, bs_cov, cfg.pilot_length, rng)

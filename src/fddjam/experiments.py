@@ -88,21 +88,10 @@ class Scenario:
     estimator_mode: str = "jammer-aware"
 
     def __post_init__(self) -> None:
-        if self.pilot_design not in PILOT_DESIGNS:
-            raise ConfigError(
-                f"unknown pilot design {self.pilot_design!r}; "
-                f"expected one of {PILOT_DESIGNS}"
-            )
-        if self.jamming not in JAMMING_CHOICES:
-            raise ConfigError(
-                f"unknown jamming strategy {self.jamming!r}; "
-                f"expected one of {JAMMING_CHOICES}"
-            )
-        if self.estimator_mode not in ESTIMATOR_MODES:
-            raise ConfigError(
-                f"unknown estimator mode {self.estimator_mode!r}; "
-                f"expected one of {ESTIMATOR_MODES}"
-            )
+        for field, choices in (("pilot_design", PILOT_DESIGNS), ("jamming", JAMMING_CHOICES),
+                               ("estimator_mode", ESTIMATOR_MODES)):
+            if (value := getattr(self, field)) not in choices:
+                raise ConfigError(f"{field} must be one of {choices}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -139,10 +128,7 @@ class ExperimentSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.sweep_axis not in SWEEP_AXES:
-            raise ConfigError(
-                f"unknown sweep axis {self.sweep_axis!r}; expected one of {SWEEP_AXES}"
-            )
+        _axis_field(self.sweep_axis)
         values = tuple(_count(v, "axis_values", error=ConfigError) for v in self.axis_values)
         if not values:
             raise ConfigError("axis_values must not be empty")
@@ -173,11 +159,17 @@ class ExperimentSpec:
                     )
 
 
+def _axis_field(sweep_axis) -> str:
+    """The TrainingConfig field that ``sweep_axis``'s values replace; any
+    other value, of any type, raises ``ConfigError``."""
+    if sweep_axis not in SWEEP_AXES:
+        raise ConfigError(f"unknown sweep_axis {sweep_axis!r}; expected one of {SWEEP_AXES}")
+    return _AXIS_FIELDS[sweep_axis]
+
+
 def config_for_point(base: TrainingConfig, sweep_axis: str, axis_value: int) -> TrainingConfig:
     """Training configuration at one point of the sweep axis."""
-    if sweep_axis not in _AXIS_FIELDS:
-        raise ConfigError(f"unknown sweep axis {sweep_axis!r}; expected one of {SWEEP_AXES}")
-    return dataclasses.replace(base, **{_AXIS_FIELDS[sweep_axis]: int(axis_value)})
+    return dataclasses.replace(base, **{_axis_field(sweep_axis): int(axis_value)})
 
 
 def resolve_workers(workers: int | None = None, *, max_useful: int | None = None) -> int:
@@ -528,7 +520,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
         raise ConfigError("scenarios must be a non-empty list of objects")
     for entry in raw_scenarios:
         if not isinstance(entry, dict):
-            raise ConfigError(f"each scenario must be an object, got {entry!r}")
+            raise ConfigError(f"scenarios must contain objects, got {entry!r}")
         bad = set(entry) - _SCENARIO_KEYS
         if bad:
             raise ConfigError(f"unknown scenario keys: {sorted(bad)}")
@@ -538,9 +530,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
             )
         scenarios.append(Scenario(**entry))
 
-    if sweep_axis not in _AXIS_FIELDS:
-        raise ConfigError(f"unknown sweep axis {sweep_axis!r}; expected one of {SWEEP_AXES}")
-    swept = _AXIS_FIELDS[sweep_axis]
+    swept = _axis_field(sweep_axis)
     missing = [f for f in _AXIS_FIELDS.values() if f != swept and f not in data]
     if missing:
         raise ConfigError(f"missing config keys: {missing}")
@@ -577,12 +567,21 @@ def _lemma_from_dict(data) -> tuple[TrainingConfig, str, object, int]:
     return cfg, pilot_design, data.get("num_random", 500), seed
 
 
+def _load_object(path: Path, what: str) -> dict:
+    """The JSON object in the file at ``path``; any other content raises
+    ``ConfigError`` naming ``path`` (see ``_open_text``)."""
+    with _open_text(path, what) as fh:
+        doc = json.load(fh)
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path} must hold a JSON object, got {type(doc).__name__}")
+    return doc
+
+
 def load_metadata_spec(path) -> ExperimentSpec:
     """Rebuild the experiment definition from a metadata sidecar."""
     path = Path(path)
-    with _open_text(path, "metadata") as fh:
-        doc = json.load(fh)
-    if not isinstance(doc, dict) or "spec" not in doc:
+    doc = _load_object(path, "metadata")
+    if "spec" not in doc:
         raise ConfigError(f"{path} is not a results metadata document")
     return spec_from_dict(doc["spec"])
 

@@ -146,9 +146,12 @@ def verify_lemma(
     ``_LEMMA_STACK``, with one stacked call per step, on the calling thread.
     The verdict, and ``rng``'s state after the call, are bit for bit those
     of drawing and evaluating the candidates one at a time. A stack that
-    fails a check is evaluated again candidate by candidate, so the first
-    failing candidate raises what it raises alone; ``rng`` has then drawn
-    the rest of that candidate's stack.
+    fails a check raises what its stacked call raises, once ``rng`` has
+    drawn the whole stack. With one failing candidate in the stack, that is
+    the type and message the candidate raises alone: ``solve_hpd``'s
+    messages do not depend on the other candidates, and each MSE is checked
+    in candidate order. Only a stack whose candidates fail different checks
+    raises the stack's first check rather than the earlier candidate's.
 
     Meant for oracle-scale dimensions (tens of antennas, hundreds to
     thousands of samples).
@@ -163,28 +166,16 @@ def verify_lemma(
         terms, _jamming_term(z_opt.matrix, jam_cov, cfg), jammer_aware=True
     )
 
-    def evaluate(zs):
-        """Trace objectives and MSEs of a stack of candidates."""
-        try:
-            czs = _real_times(jam_cov.matrix, zs)
-            objectives = [float(np.vdot(z, cz).real) for z, cz in zip(zs, czs)]
-            jams = _jamming_term(zs, jam_cov, cfg, czs)
-            return objectives, _closed_form(terms, jams, True)
-        except (ArithmeticError, ValueError):
-            if len(zs) > 1:
-                # the first failing candidate raises its own error, as alone
-                for i in range(len(zs)):
-                    evaluate(zs[i : i + 1])
-            raise
-
     best_objective: float | None = None
     best_mse: float | None = None
     for start in range(0, num_random, _LEMMA_STACK):
         zs = haar_orthonormal_columns(
             jam_cov.size, length, rng, min(_LEMMA_STACK, num_random - start)
         )
-        objectives, mses = evaluate(zs)
-        for objective, mse in zip(objectives, mses):
+        czs = _real_times(jam_cov.matrix, zs)
+        mses = _closed_form(terms, _jamming_term(zs, jam_cov, cfg, czs), True)
+        for z, cz, mse in zip(zs, czs, mses):
+            objective = float(np.vdot(z, cz).real)
             if best_objective is None or objective > best_objective:
                 best_objective = objective
             if best_mse is None or mse > best_mse:

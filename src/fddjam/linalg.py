@@ -172,43 +172,18 @@ def haar_orthonormal_columns(
     generator state after, of ``count`` calls without it. A single matrix
     is the stack of one.
 
-    A rank-deficient draw (probability zero) is retried up to three times
-    before raising ``numpy.linalg.LinAlgError``. In a stack, the generator
-    goes back to its state before the stack, and the stack is drawn again
-    one matrix at a time, each with its own retries, as separate calls
-    would have drawn it.
+    A rank-deficient draw (probability zero) raises ``numpy.linalg.LinAlgError``.
     """
     rows = _count(rows, "rows", 1)
     cols = _count(cols, "cols", 1, rows)
     size = 1 if count is None else _count(count, "count", 1)
-    state = rng.bit_generator.state
-    q = _haar_draw(size, rows, cols, rng)
-    if q is None:
-        rng.bit_generator.state = state
-        q = np.stack([_haar_retried(rows, cols, rng) for _ in range(size)])
-    return q[0] if count is None else q
-
-
-def _haar_retried(rows: int, cols: int, rng: np.random.Generator) -> np.ndarray:
-    for _ in range(3):
-        q = _haar_draw(1, rows, cols, rng)
-        if q is not None:
-            return q[0]
-    raise np.linalg.LinAlgError("random matrix stayed rank deficient after 3 draws")
-
-
-def _haar_draw(size: int, rows: int, cols: int, rng: np.random.Generator):
-    """A stack of ``size`` Haar matrices, or None if one draw is rank deficient.
-
-    Its normals are the stream of ``size`` sequential draws of one matrix.
-    """
     x = _complex_normals(rng, (size, rows, cols), np.sqrt(0.5))
     q, r = np.linalg.qr(x, mode="reduced")
     d = np.diagonal(r, axis1=-2, axis2=-1)
     if not float(np.min(np.abs(d))) > 1e-12:
-        return None
+        raise np.linalg.LinAlgError("random matrix is rank deficient")
     q *= (d / np.abs(d))[:, None, :]
-    return q
+    return q[0] if count is None else q
 
 
 # A numpy wheel bundles its own OpenBLAS, with its own thread count, in

@@ -141,16 +141,15 @@ def full_dimension_mse(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode):
 
 
 def haar_one_by_one(rows, cols, rng):
-    """One Haar matrix per call, retrying a rank-deficient draw up to three times."""
-    for _ in range(3):
-        x = np.sqrt(0.5) * (
-            rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
-        )
-        q, r = np.linalg.qr(x, mode="reduced")
-        d = np.diagonal(r)
-        if float(np.min(np.abs(d))) > 1e-12:
-            return q * (d / np.abs(d))
-    raise np.linalg.LinAlgError("random matrix stayed rank deficient after 3 draws")
+    """One Haar matrix per call; a rank-deficient draw raises."""
+    x = np.sqrt(0.5) * (
+        rng.standard_normal((rows, cols)) + 1j * rng.standard_normal((rows, cols))
+    )
+    q, r = np.linalg.qr(x, mode="reduced")
+    d = np.diagonal(r)
+    if not float(np.min(np.abs(d))) > 1e-12:
+        raise np.linalg.LinAlgError("random matrix is rank deficient")
+    return q * (d / np.abs(d))
 
 
 def verify_lemma_one_by_one(bs_cov, jam_cov, pilots, cfg, num_random, rng):

@@ -193,6 +193,18 @@ class TestSweepCommand:
         assert code == 2
         assert f"error: {config} {problem}" in err
 
+    @pytest.mark.parametrize("axis", [["pilot_length"], {}, None, 3])
+    def test_non_string_sweep_axis_exit_2_naming_it(self, capsys, tmp_path, axis):
+        payload = self.config_payload()
+        payload["sweep_axis"] = axis
+        config = tmp_path / "axis.json"
+        config.write_text(json.dumps(payload))
+        code, _, err = run_cli(
+            capsys, ["sweep", "--config", str(config), "--out", str(tmp_path)]
+        )
+        assert code == 2
+        assert f"error: unknown sweep_axis {axis!r}" in err
+
     def test_unknown_config_key_exit_2(self, capsys, tmp_path):
         payload = self.config_payload()
         payload["bs_corelation"] = 0.7

@@ -133,7 +133,7 @@ def small_spec(trials=0, seed=0, scenarios=None):
 
 class TestSpecValidation:
     def test_scenario_label_validation(self):
-        with pytest.raises(ConfigError, match="pilot design"):
+        with pytest.raises(ConfigError, match="pilot_design"):
             Scenario("best", "silent")
         with pytest.raises(ConfigError, match="jamming"):
             Scenario("optimal", "loud")
@@ -462,6 +462,17 @@ class TestMetadataSidecar:
         meta = tmp_path / "results.meta.json"
         meta.write_bytes(b"\xff\xfe" + '{"spec": {}}'.encode("utf-16-le"))
         with pytest.raises(ConfigError, match=f"{meta} is not UTF-8 text"):
+            load_metadata_spec(meta)
+
+    @pytest.mark.parametrize("axis", [["pilot_length"], {"pilot_length": 1}])
+    def test_non_string_sweep_axis_raises_config_error(self, tmp_path, axis):
+        path = tmp_path / "results.csv"
+        write_results([], path, spec=small_spec())
+        meta = metadata_path(path)
+        doc = json.loads(meta.read_text())
+        doc["spec"]["sweep_axis"] = axis
+        meta.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match="unknown sweep_axis"):
             load_metadata_spec(meta)
 
     def test_sidecar_spec_round_trip(self, tmp_path):

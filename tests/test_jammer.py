@@ -291,13 +291,14 @@ class TestStackedLemma:
         """Make ``_closed_form``'s solves fail where Re K_est[0, 1] > threshold.
 
         The message carries the largest value of the call, so a stacked call
-        names another candidate than a single one. Returns the call log.
+        with two failing candidates names another candidate than a single
+        one. Returns the log of each call's values.
         """
         solve, calls = fddjam.training.solve_hpd, []
 
         def failing_solve(a, b):
-            calls.append(1)
             off = np.asarray(a)[..., 0, 1].real.reshape(-1)
+            calls.append(off)
             if np.any(off > threshold):
                 raise np.linalg.LinAlgError(f"injected at {off.max()!r}")
             return solve(a, b)
@@ -305,36 +306,19 @@ class TestStackedLemma:
         monkeypatch.setattr(fddjam.training, "solve_hpd", failing_solve)
         return calls
 
-    def test_first_failing_candidate_raises_its_own_error(self, monkeypatch):
-        # With seed 3, candidates 45, 54, 56 and 62 (second stack), then 75,
-        # 88, 110, 128 and more in later stacks fail: the error must be
-        # candidate 45's alone, as in the one-by-one loop.
-        calls = self.fail_solves_above(monkeypatch, 0.34)
+    def test_one_failing_candidate_raises_like_the_loop(self, monkeypatch):
+        # With seed 2, candidate 55 is the only one of the second stack, and
+        # the first of all candidates, above 0.36; the first stack passes.
+        calls = self.fail_solves_above(monkeypatch, 0.36)
         config = LEMMA_CONFIGS[0]
-        got = lemma_outcome(verify_lemma, config, 3, 200)
+        got = lemma_outcome(verify_lemma, config, 2, 200)
+        assert len(calls) == 1 + 2  # the optimal block, then two stacks
+        assert np.flatnonzero(calls[-1] > 0.36).tolist() == [55 - _LEMMA_STACK]
         calls.clear()
-        want = lemma_outcome(verify_lemma_one_by_one, config, 3, 200)
-        assert len(calls) == 1 + 46  # the optimal block, then candidates 0..45
+        want = lemma_outcome(verify_lemma_one_by_one, config, 2, 200)
+        assert len(calls) == 1 + 56  # the optimal block, then candidates 0..55
         assert want[0] is np.linalg.LinAlgError
         assert got == want
-
-    def test_failing_candidate_raises_before_a_later_draw_fails(self, monkeypatch):
-        # candidate 45 (second stack) fails, and so does the draw of the
-        # fourth stack, which the one-by-one loop never reaches
-        self.fail_solves_above(monkeypatch, 0.34)
-        draw, drawn = fddjam.jammer.haar_orthonormal_columns, []
-
-        def failing_draw(*args):
-            drawn.append(1)
-            if len(drawn) == 4:
-                raise np.linalg.LinAlgError("random matrix stayed rank deficient after 3 draws")
-            return draw(*args)
-
-        monkeypatch.setattr(fddjam.jammer, "haar_orthonormal_columns", failing_draw)
-        config = LEMMA_CONFIGS[0]
-        got = lemma_outcome(verify_lemma, config, 3, 200)
-        assert got == lemma_outcome(verify_lemma_one_by_one, config, 3, 200)
-        assert got[1].startswith("injected at")
 
 
 class TestStrategyDominance:

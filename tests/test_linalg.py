@@ -334,46 +334,39 @@ class TestHaarStacks:
         assert np.array_equal(single, haar_one_by_one(rows, cols, ref))
         assert state(rng) == state(ref)
 
-    @pytest.mark.parametrize("count", [None, 1, 7])
-    def test_rank_deficient_draw_is_retried_as_one_by_one(self, monkeypatch, count):
-        # the draw of the last candidate's normals comes out rank deficient
-        rows, cols, n = 6, 3, 1 if count is None else count
-        normals = np.random.default_rng(8).standard_normal((n, 2, rows, cols))
-        bad = np.sqrt(0.5) * (normals[-1, 0] + 1j * normals[-1, 1])
-        monkeypatch.setattr(np.linalg, "qr", zero_diagonal_entry_of(bad))
-        rng, ref = np.random.default_rng(8), np.random.default_rng(8)
-        got = haar_orthonormal_columns(rows, cols, rng, count)
-        want = np.stack([haar_one_by_one(rows, cols, ref) for _ in range(n)])
-        assert np.array_equal(got, want[0] if count is None else want)
-        assert state(rng) == state(ref)
-        # the retry drew once more than the draws without the fault
-        clean = np.random.default_rng(8)
-        clean.standard_normal((n + 1, 2, rows, cols))
-        assert state(rng) == state(clean)
-
     @pytest.mark.parametrize("count", [None, 4])
-    def test_stays_rank_deficient_after_three_draws(self, monkeypatch, count):
+    def test_rank_deficient_draw_raises_at_once(self, monkeypatch, count):
         monkeypatch.setattr(np.linalg, "qr", zero_diagonal_entry_of(None))
+        rng, ref = np.random.default_rng(0), np.random.default_rng(0)
         with pytest.raises(np.linalg.LinAlgError) as got:
-            haar_orthonormal_columns(6, 3, np.random.default_rng(0), count)
-        assert str(got.value) == "random matrix stayed rank deficient after 3 draws"
+            haar_orthonormal_columns(6, 3, rng, count)
+        assert str(got.value) == "random matrix is rank deficient"
+        # the stack's normals were drawn once, and nothing more
+        ref.standard_normal((1 if count is None else count, 2, 6, 3))
+        assert state(rng) == state(ref)
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            haar_one_by_one(6, 3, np.random.default_rng(0))
+        assert str(want.value) == str(got.value)
 
-    def test_lemma_retries_like_the_loop(self, monkeypatch):
+    def test_lemma_raises_like_the_loop_on_a_rank_deficient_draw(self, monkeypatch):
         from fddjam.channel import exponential_covariance
         from fddjam.jammer import verify_lemma
         from fddjam.training import TrainingConfig, optimal_pilots
         from oracles import verify_lemma_one_by_one
 
+        # candidate 37, in the second stack, is drawn rank deficient
         normals = np.random.default_rng(2).standard_normal((40, 2, 6, 3))
         bad = np.sqrt(0.5) * (normals[37, 0] + 1j * normals[37, 1])
         monkeypatch.setattr(np.linalg, "qr", zero_diagonal_entry_of(bad))
         cfg = TrainingConfig(8, 6, 3, 5.0, 5.0, bs_correlation=0.7)
         bs_cov, jam_cov = exponential_covariance(8, 0.7), exponential_covariance(6, 0.7)
         pilots = optimal_pilots(bs_cov, 3)
-        rng, ref = np.random.default_rng(2), np.random.default_rng(2)
-        got = verify_lemma(bs_cov, jam_cov, pilots, cfg, 70, rng)
-        assert got == verify_lemma_one_by_one(bs_cov, jam_cov, pilots, cfg, 70, ref)
-        assert state(rng) == state(ref)
+        with pytest.raises(np.linalg.LinAlgError) as got:
+            verify_lemma(bs_cov, jam_cov, pilots, cfg, 70, np.random.default_rng(2))
+        with pytest.raises(np.linalg.LinAlgError) as want:
+            verify_lemma_one_by_one(bs_cov, jam_cov, pilots, cfg, 70, np.random.default_rng(2))
+        assert type(got.value) is type(want.value)
+        assert str(got.value) == str(want.value) == "random matrix is rank deficient"
 
 
 class TestStackedSolve:
