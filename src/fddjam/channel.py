@@ -47,8 +47,9 @@ class ChannelCovariance:
     def from_matrix(cls, matrix, *, unit_diagonal: bool = True) -> "ChannelCovariance":
         """Validate a plain covariance matrix and eigendecompose it.
 
-        The matrix is copied once, as complex128. It must be finite, square,
-        Hermitian within ``HERMITIAN_ATOL`` and positive semidefinite within
+        The matrix is copied once, as float64 unless it is complex, and the
+        eigenvectors keep its dtype. It must be finite, square, Hermitian
+        within ``HERMITIAN_ATOL`` and positive semidefinite within
         ``PSD_EIG_FLOOR``, else ``ValueError``. Ties between equal eigenvalues
         keep the LAPACK (ascending) order via a stable sort, so degenerate
         spectra still give a deterministic eigenbasis: the identity matrix
@@ -57,7 +58,7 @@ class ChannelCovariance:
         ``unit_diagonal=False`` skips the unit path-loss check, for general
         PSD covariances used in stress tests.
         """
-        m = _finite_matrix(matrix, np.complex128, "covariance")
+        m = _finite_matrix(matrix, "covariance")
         if m.shape[0] != m.shape[1]:
             raise ValueError(f"covariance must be square, got shape {m.shape}")
         if m.size:

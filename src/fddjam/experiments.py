@@ -14,6 +14,7 @@ import csv
 import dataclasses
 import json
 import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
@@ -24,7 +25,7 @@ import numpy as np
 from ._version import __version__
 from .channel import ChannelCovariance, exponential_covariance
 from .jammer import _eigen_jamming_term, optimal_jamming, single_shot_jamming
-from .linalg import _count, _one_blas_thread, _single_blas_thread
+from .linalg import _count, _one_blas_thread, _real, _single_blas_thread
 from .training import (
     ESTIMATOR_MODES,
     PILOT_DESIGNS,
@@ -65,6 +66,9 @@ __all__ = [
 _AXIS_FIELDS = {"pilot_length": "pilot_length", "bs_antennas": "num_bs_antennas"}
 SWEEP_AXES = tuple(_AXIS_FIELDS)
 JAMMING_CHOICES = ("silent", "single-shot", "eigen-optimal")
+# The label fields of a scenario and the values each may take.
+_LABELS = {"pilot_design": PILOT_DESIGNS, "jamming": JAMMING_CHOICES,
+           "estimator_mode": ESTIMATOR_MODES}
 CSV_HEADER = ("axis", "pilot_design", "jamming", "estimator_mode",
               "mse_closed", "mse_empirical", "std_err")
 
@@ -79,6 +83,13 @@ class ConfigError(ValueError):
     """Invalid experiment configuration: bad keys, values or dimensions."""
 
 
+def _label(field: str, value) -> str:
+    """``value`` if it is one of ``field``'s labels, else ``ConfigError``."""
+    if value not in _LABELS[field]:
+        raise ConfigError(f"{field} must be one of {_LABELS[field]}, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One pilot-design / jamming-strategy / estimator-mode combination."""
@@ -88,10 +99,8 @@ class Scenario:
     estimator_mode: str = "jammer-aware"
 
     def __post_init__(self) -> None:
-        for field, choices in (("pilot_design", PILOT_DESIGNS), ("jamming", JAMMING_CHOICES),
-                               ("estimator_mode", ESTIMATOR_MODES)):
-            if (value := getattr(self, field)) not in choices:
-                raise ConfigError(f"{field} must be one of {choices}, got {value!r}")
+        for field in _LABELS:
+            _label(field, getattr(self, field))
 
 
 @dataclass(frozen=True)
@@ -400,8 +409,9 @@ def write_results(rows, path, spec: ExperimentSpec | None = None) -> None:
             raise OSError(f"failed to write metadata to {meta}: {exc}") from exc
 
 
-def _parse_float(text: str) -> float | None:
-    return None if text == "" else float(text)
+def _parse_mse(text: str, name: str) -> float:
+    """An MSE field of a results CSV as a finite real >= 0, else ``ValueError``."""
+    return _real(float(text), name, 0.0, sys.float_info.max)
 
 
 @contextlib.contextmanager
@@ -424,7 +434,10 @@ def _open_text(path: Path, what: str):
 
 
 def read_results(path) -> list[ResultRow]:
-    """Read a results CSV written by ``write_results``; a bad one raises ``ConfigError``."""
+    """Read a results CSV written by ``write_results``; a bad one raises ``ConfigError``.
+
+    A record holds a count, a scenario's labels and finite MSEs >= 0, the
+    empirical MSE and its standard error both empty or both set."""
     path = Path(path)
     with _open_text(path, "results") as fh:
         reader = csv.reader(fh)
@@ -435,17 +448,15 @@ def read_results(path) -> list[ResultRow]:
         for record in reader:
             try:
                 axis, design, jamming, mode, closed, mc, std_err = record
-                rows.append(
-                    ResultRow(
-                        axis_value=int(axis),
-                        pilot_design=design,
-                        jamming=jamming,
-                        estimator_mode=mode,
-                        closed_form_mse=float(closed),
-                        empirical_mse=_parse_float(mc),
-                        empirical_std_err=_parse_float(std_err),
-                    )
+                axis = _count(int(axis), "axis")
+                Scenario(design, jamming, mode)
+                closed = _parse_mse(closed, "mse_closed")
+                if (mc == "") != (std_err == ""):
+                    raise ValueError("mse_empirical and std_err must be both empty or both set")
+                empirical = (None, None) if mc == "" else (
+                    _parse_mse(mc, "mse_empirical"), _parse_mse(std_err, "std_err")
                 )
+                rows.append(ResultRow(axis, design, jamming, mode, closed, *empirical))
             except ValueError as exc:
                 raise ConfigError(f"malformed CSV record in {path}: {record}: {exc}") from exc
     return rows
@@ -558,11 +569,7 @@ def _lemma_from_dict(data) -> tuple[TrainingConfig, str, object, int]:
     ``ConfigError``, except ``num_random``, which ``verify_lemma`` checks."""
     _check_keys(data, _LEMMA_REQUIRED, _LEMMA_OPTIONAL)
     cfg = _training_config_from_dict(data)
-    pilot_design = data.get("pilot_design", "optimal")
-    if pilot_design not in PILOT_DESIGNS:
-        raise ConfigError(
-            f"pilot_design must be one of {PILOT_DESIGNS}, got {pilot_design!r}"
-        )
+    pilot_design = _label("pilot_design", data.get("pilot_design", "optimal"))
     seed = _count(data.get("seed", 0), "seed", error=ConfigError)
     return cfg, pilot_design, data.get("num_random", 500), seed
 

@@ -61,7 +61,7 @@ def single_shot_jamming(num_antennas: int, pilot_length: int) -> UnitaryBlock:
     """
     num_antennas = _count(num_antennas, "num_antennas", 1)
     pilot_length = _count(pilot_length, _BLOCK_LENGTH, 1, num_antennas)
-    return UnitaryBlock(np.eye(num_antennas, pilot_length, dtype=np.complex128))
+    return UnitaryBlock(np.eye(num_antennas, pilot_length))
 
 
 def _eigen_jamming_term(strategy: str, cfg: TrainingConfig) -> np.ndarray | None:
@@ -138,7 +138,7 @@ def verify_lemma(
 
     Both MSEs come from the training-length closed form that
     ``scenario_closed_form_mse`` uses; the pilot-side terms are computed once,
-    so each candidate costs one product ``C_jam Z``, real when ``C_jam`` is,
+    so each candidate costs one product ``C_jam Z``, real for a float64 ``C_jam``,
     which serves both the trace objective and ``(C_jam Z)^H Z``, and one
     ``L x L`` solve.
 

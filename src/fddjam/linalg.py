@@ -1,15 +1,15 @@
 """Dense linear-algebra primitives shared by the whole library.
 
-Covariances, eigenvectors, pilot and jamming blocks are numpy
-``complex128`` arrays. A covariance's eigendecomposition lives in
-``channel.ChannelCovariance``. Many of these arrays are real in value (the
-exponential covariance, its eigenvectors and the blocks built from them),
-and their products keep real arithmetic where the values allow it:
-``solve_hpd`` solves a real system in float64, ``_real_times`` multiplies
-a real matrix into a complex block as one real GEMM, and the Monte-Carlo
-trials of ``training.empirical_mse`` run on the raw normal draws, as real
-and imaginary planes, in the eigenbasis of the covariance. Channel vectors
-are one dimensional; batches of vectors are stacked column-wise.
+Covariances, eigenvectors, pilot and jamming blocks are numpy float64
+arrays when real (the exponential covariance, its eigenvectors and the
+blocks built from them) and complex128 otherwise (Haar blocks, general
+covariances): the dtype alone says which. A covariance's eigendecomposition
+lives in ``channel.ChannelCovariance``. Products keep real arithmetic where
+the dtypes allow it: ``solve_hpd`` solves a real system in float64,
+``_real_times`` multiplies a real matrix into a complex block as one real
+GEMM, and the Monte-Carlo trials of ``training.empirical_mse`` run on the
+raw normal draws, as real and imaginary planes, in the eigenbasis of the
+covariance. Channel vectors are 1-d; batches are stacked column-wise.
 """
 
 from __future__ import annotations
@@ -63,12 +63,13 @@ def _real(value, name: str, low: float, high: float) -> float:
     raise ValueError(f"{name} must be a real number in [{low:g}, {high:g}], got {value!r}")
 
 
-def _finite_matrix(a, dtype, name: str, stack: bool = False) -> np.ndarray:
-    """A C-ordered copy of ``a`` as a 2-d ``dtype`` array, rejecting non-finite entries.
+def _finite_matrix(a, name: str, stack: bool = False) -> np.ndarray:
+    """A C-ordered copy of ``a`` as a 2-d array, rejecting non-finite entries.
 
-    With ``stack``, a 3-d array (a stack of matrices) is accepted too.
+    A complex ``a`` is copied as complex128, any other as float64. With
+    ``stack``, a 3-d array (a stack of matrices) is accepted too.
     """
-    arr = np.array(a, dtype=dtype, order="C")
+    arr = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, order="C")
     if arr.ndim != 2 and not (stack and arr.ndim == 3):
         kind = "two-dimensional or a stack of matrices" if stack else "two-dimensional"
         raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
@@ -78,16 +79,16 @@ def _finite_matrix(a, dtype, name: str, stack: bool = False) -> np.ndarray:
 
 
 def _real_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a @ x`` for a complex ``x``, one matrix or a stack of them.
+    """``a @ x``, with ``x`` one matrix or a stack of them.
 
-    When ``a``'s imaginary part is exactly 0, ``a``'s real part multiplies
-    the float64 view of ``x``, one real GEMM with half the flops of the
-    complex one; the view puts each column's real and imaginary parts side
-    by side. Any other ``a`` is a complex product.
+    A float64 ``a`` times a complex ``x`` multiplies the float64 view of
+    ``x``, one real GEMM with half the flops of the complex one; the view
+    puts each column's real and imaginary parts side by side. Any other
+    pair is a plain product.
     """
-    if a.imag.any():
+    if np.iscomplexobj(a) or not np.iscomplexobj(x):
         return a @ x
-    return (a.real @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
+    return (a @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
 
 
 def require_orthonormal_columns(matrix: np.ndarray, *, name: str = "matrix") -> None:
@@ -115,9 +116,9 @@ def solve_hpd(a, b) -> np.ndarray:
     bits of the solve of that matrix alone. One matrix of the stack that
     fails a check fails the whole call.
 
-    The system is solved in ``np.result_type(a, b)``, at least float64: a
-    real ``a`` with a real ``b`` is factored and solved in float64 and gives
-    a float64 ``x``; if either is complex, both are taken as complex128.
+    A float64 ``a`` is factored in float64; with a float64 ``b`` too, the
+    solve is real and gives a float64 ``x``. If either is complex, the
+    solve is complex128.
 
     Raises
     ------
@@ -126,15 +127,12 @@ def solve_hpd(a, b) -> np.ndarray:
     ValueError
         On shape mismatch, non-finite entries or non-Hermitian ``a``.
     """
-    a, rhs = np.asarray(a), np.asarray(b)
-    dtype = np.result_type(a, rhs, np.float64)
-    a = _finite_matrix(a, dtype, "lhs", stack=True)
+    a, rhs = _finite_matrix(a, "lhs", stack=True), np.asarray(b)
     if a.shape[-2] != a.shape[-1]:
         raise ValueError(f"lhs must be square, got shape {a.shape}")
     asymmetry = float(np.max(np.abs(a - a.conj().mT))) if a.size else 0.0
     if asymmetry > HERMITIAN_ATOL:
         raise ValueError(f"lhs is not Hermitian (max asymmetry {asymmetry:.3e})")
-    rhs = rhs.astype(dtype, copy=False)
     if rhs.ndim not in (1, 2) or rhs.shape[0] != a.shape[-1]:
         raise ValueError(f"rhs shape {rhs.shape} does not match lhs shape {a.shape}")
     if not np.all(np.isfinite(rhs)):
@@ -186,52 +184,45 @@ def haar_orthonormal_columns(
     return q[0] if count is None else q
 
 
-# A numpy wheel bundles its own OpenBLAS, with its own thread count, in
-# numpy.libs: (package, suffix of the library's name and symbols).
-_OPENBLAS_COPIES = ((np, "64_"),)
-
-
 @functools.cache
-def _openblas_copies() -> tuple:
-    """``(get, set)`` thread-count functions of each bundled OpenBLAS found."""
-    copies = []
-    for package, suffix in _OPENBLAS_COPIES:
-        libs = Path(package.__file__).parent.parent / f"{package.__name__}.libs"
-        try:
-            path = next(libs.glob(f"lib*openblas{suffix}-*.so*"))
-            # The symbols carry the library's name: lib<name>64_-<hash>.so
-            # exports <name>_get_num_threads64_.
-            name = path.name[len("lib"):path.name.index(f"{suffix}-")]
-            # Opened by its path, a loaded library is the instance in use.
-            lib = ctypes.CDLL(str(path))
-            get = getattr(lib, f"{name}_get_num_threads{suffix}")
-            set_ = getattr(lib, f"{name}_set_num_threads{suffix}")
-        except (StopIteration, OSError, AttributeError):
-            continue  # an MKL or system BLAS build
-        get.argtypes, get.restype = [], ctypes.c_int
-        set_.argtypes, set_.restype = [ctypes.c_int], None
-        copies.append((get, set_))
-    return tuple(copies)
+def _bundled_openblas() -> tuple | None:
+    """``(get, set)`` thread-count functions of the OpenBLAS a numpy wheel
+    bundles in numpy.libs, with its own thread count; None without one."""
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    try:
+        path = next(libs.glob("lib*openblas64_-*.so*"))
+        # The symbols carry the library's name: lib<name>64_-<hash>.so
+        # exports <name>_get_num_threads64_.
+        name = path.name[len("lib"):path.name.index("64_-")]
+        # Opened by its path, a loaded library is the instance in use.
+        lib = ctypes.CDLL(str(path))
+        get = getattr(lib, f"{name}_get_num_threads64_")
+        set_ = getattr(lib, f"{name}_set_num_threads64_")
+    except (StopIteration, OSError, AttributeError):
+        return None  # an MKL or system BLAS build
+    get.argtypes, get.restype = [], ctypes.c_int
+    set_.argtypes, set_.restype = [ctypes.c_int], None
+    return get, set_
 
 
 def _one_blas_thread() -> None:
-    """Run every bundled OpenBLAS of this process on one thread.
+    """Run the bundled OpenBLAS of this process on one thread.
 
     Also a process pool's worker initializer: a worker started by ``spawn``
     or ``forkserver`` does not inherit its parent's thread count.
     """
-    for _, set_ in _openblas_copies():
-        set_(1)
+    if (blas := _bundled_openblas()) is not None:
+        blas[1](1)
 
 
 @contextlib.contextmanager
 def _single_blas_thread():
-    """Run every bundled OpenBLAS on one thread, then restore the counts."""
-    copies = _openblas_copies()
-    saved = [get() for get, _ in copies]
+    """Run the bundled OpenBLAS on one thread, then restore its count."""
+    blas = _bundled_openblas()
+    saved = None if blas is None else blas[0]()
     _one_blas_thread()
     try:
         yield
     finally:
-        for (_, set_), threads in zip(copies, saved):
-            set_(threads)
+        if blas is not None:
+            blas[1](saved)

@@ -78,7 +78,7 @@ class UnitaryBlock:
     matrix: np.ndarray
 
     def __post_init__(self) -> None:
-        m = _finite_matrix(self.matrix, np.complex128, "block")
+        m = _finite_matrix(self.matrix, "block")
         require_orthonormal_columns(m, name="block")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -451,12 +451,12 @@ def _planes_times(gain: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     ``x`` is a ``(2, n, k)`` float64 array holding the real plane, then the
     imaginary plane, of an ``(n, k)`` block; the result holds those of the
-    ``(m, k)`` product. A gain whose imaginary part is exactly 0 multiplies
-    each plane as a real matrix. Any other gain multiplies the ``(2n, k)``
-    view as its real block ``[[Gr, -Gi], [Gi, Gr]]``.
+    ``(m, k)`` product. A float64 gain multiplies each plane as a real
+    matrix. A complex gain multiplies the ``(2n, k)`` view as its real
+    block ``[[Gr, -Gi], [Gi, Gr]]``.
     """
-    if not gain.imag.any():
-        return gain.real @ x
+    if not np.iscomplexobj(gain):
+        return gain @ x
     block = np.block([[gain.real, -gain.imag], [gain.imag, gain.real]])
     return (block @ x.reshape(2 * x.shape[1], -1)).reshape(2, gain.shape[0], -1)
 
@@ -486,7 +486,7 @@ def empirical_mse(
     imaginary planes of one ``standard_normal`` draw, and the jammer's
     channel likewise. With the filter ``A``, the error is measured as
     ``s·e - UᴴAy``, whose norm is that of ``h - Ay`` because ``U`` is
-    unitary. Every product is real when its matrix is (``_planes_times``).
+    unitary. Every product with a float64 matrix is real (``_planes_times``).
     """
     trials = _count(trials, "trials", 1)
     a = _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)

@@ -85,7 +85,8 @@ class TestExponentialCovariance:
 class TestExponentialSpectrum:
     @pytest.mark.parametrize(("n", "r"), [(1, 0.5), (12, 0.0), (12, 0.8), (100, 0.7)])
     def test_matches_complex_evd(self, n, r):
-        expected = exponential_covariance(n, r).eigenvalues
+        matrix = exponential_covariance(n, r).matrix.astype(np.complex128)
+        expected = ChannelCovariance.from_matrix(matrix).eigenvalues
         np.testing.assert_allclose(exponential_spectrum(n, r), expected, rtol=0, atol=1e-12)
 
     def test_cached_and_read_only(self):
@@ -133,12 +134,17 @@ class TestFromMatrix:
         with pytest.raises(ValueError, match="Hermitian"):
             ChannelCovariance.from_matrix([[1.0, 0.5], [0.0, 1.0]])
 
+    def test_rejects_a_matrix_of_strings(self):
+        with pytest.raises(ValueError):
+            ChannelCovariance.from_matrix([["1", "0"], ["0", "x"]])
+
     @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
     def test_arrays_are_read_only_copies(self, dtype):
+        # the matrix and its eigenvectors keep the input's dtype
         source = np.array([[1.0, 0.5], [0.5, 1.0]], dtype=dtype)
         cov = ChannelCovariance.from_matrix(source)
         assert cov.eigenvalues.dtype == np.float64
-        assert cov.eigenvectors.dtype == np.complex128
+        assert cov.matrix.dtype == cov.eigenvectors.dtype == dtype
         for array in (cov.matrix, cov.eigenvalues, cov.eigenvectors):
             assert not array.flags.writeable
             with pytest.raises(ValueError, match="read-only"):

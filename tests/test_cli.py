@@ -18,7 +18,7 @@ from fddjam import cli
 from fddjam.cli import main
 from fddjam import experiments
 from fddjam.experiments import load_metadata_spec, read_results
-from fddjam.linalg import _openblas_copies
+from fddjam.linalg import _bundled_openblas
 
 
 def run_cli(capsys, argv):
@@ -29,14 +29,15 @@ def run_cli(capsys, argv):
 
 def test_commands_run_on_one_blas_thread(monkeypatch):
     seen = []
+    blas = _bundled_openblas()
 
     def record(args):
-        seen.append([get() for get, _ in _openblas_copies()])
+        seen.append(None if blas is None else blas[0]())
         return 0
 
     monkeypatch.setitem(cli._COMMANDS, "mse", record)
     assert main(["mse", "--M", "4", "--L", "2", "--r", "0", "--pb-db", "0"]) == 0
-    assert seen == [[1] * len(_openblas_copies())]
+    assert seen == [None if blas is None else 1]
 
 
 def test_runtime_does_not_import_scipy():

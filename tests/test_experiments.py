@@ -34,7 +34,7 @@ from fddjam.experiments import (
     spec_to_dict,
     write_results,
 )
-from fddjam.linalg import _openblas_copies
+from fddjam.linalg import _bundled_openblas
 from fddjam.training import ESTIMATOR_MODES, PILOT_DESIGNS, TrainingConfig
 
 # Closed-form figure rows stored with the benchmark, at 12 significant digits.
@@ -61,8 +61,9 @@ def seed_sequences(monkeypatch):
 
 def blas_counts_of_point(spec, axis_index):
     # Stands in for one grid point's evaluation: its "rows" are the live
-    # thread counts of the OpenBLAS copies in the evaluating process.
-    return [tuple(get() for get, _ in _openblas_copies())]
+    # thread count of the bundled OpenBLAS in the evaluating process.
+    blas = _bundled_openblas()
+    return [None if blas is None else blas[0]()]
 
 
 @st.composite
@@ -237,7 +238,7 @@ class TestRunSweep:
                 experiments, "ProcessPoolExecutor",
                 functools.partial(ProcessPoolExecutor, mp_context=get_context(start_method)),
             )
-        single = (1,) * len(_openblas_copies())
+        single = None if _bundled_openblas() is None else 1
         assert run_sweep(small_spec(trials=10), workers=workers) == [single] * 3
 
     def test_only_block_building_sweeps_start_a_pool(self, monkeypatch):
@@ -420,8 +421,15 @@ class TestCsvRoundTrip:
         [("x,optimal,silent,jammer-aware,0.5,,", "invalid literal for int"),
          ("5,optimal,silent,jammer-aware,abc,,", "could not convert string to float"),
          ("5,optimal,silent,jammer-aware,0.5,0.4,nope", "could not convert string to float"),
-         ("5,optimal,silent", "not enough values")],
-        ids=["axis", "closed", "std-err", "short"],
+         ("5,optimal,silent", "not enough values"),
+         ("-1,[1],x,{},nan,-inf,", "axis must be an integer >= 0, got -1"),
+         ("5,optimal,loud,jammer-aware,0.5,,", "jamming must be one of"),
+         ("5,optimal,silent,jammer-aware,nan,,", "mse_closed must be a real number"),
+         ("5,optimal,silent,jammer-aware,0.5,-inf,0.1", "mse_empirical must be a real number"),
+         ("5,optimal,silent,jammer-aware,0.5,0.4,-0.1", "std_err must be a real number"),
+         ("5,optimal,silent,jammer-aware,0.5,0.4,", "both empty or both set")],
+        ids=["axis", "closed", "std-err", "short", "unwritten-row", "label",
+             "nan-closed", "infinite-empirical", "negative-std-err", "half-empirical"],
     )
     def test_read_names_file_and_record_of_a_bad_field(self, tmp_path, record, problem):
         path = tmp_path / "bad.csv"
@@ -540,6 +548,18 @@ class TestConfigSchema:
         assert (pilot_design, num_random, seed) == ("optimal", 500, 0)
         with pytest.raises(ConfigError, match="unknown config keys"):
             experiments._lemma_from_dict(self.base_dict())
+
+    @pytest.mark.parametrize("design", ["best", ["optimal"], None])
+    def test_lemma_and_scenario_share_the_label_rule(self, design):
+        data = {**self.base_dict(), "pilot_length": 2, "pilot_design": design}
+        for key in ("sweep_axis", "axis_values", "scenarios"):
+            del data[key]
+        with pytest.raises(ConfigError) as lemma:
+            experiments._lemma_from_dict(data)
+        with pytest.raises(ConfigError) as scenario:
+            Scenario(design, "silent")
+        expected = f"pilot_design must be one of {PILOT_DESIGNS}, got {design!r}"
+        assert str(lemma.value) == str(scenario.value) == expected
 
     def test_unknown_key_is_hard_error(self):
         data = self.base_dict()

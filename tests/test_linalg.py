@@ -8,11 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fddjam import linalg
 from fddjam.channel import ChannelCovariance
 from fddjam.linalg import (
+    _bundled_openblas,
     _complex_normals,
-    _openblas_copies,
     _real_times,
     _single_blas_thread,
     haar_orthonormal_columns,
@@ -161,6 +160,16 @@ class TestSolveHpd:
         a = exp_corr(4, 0.5)
         assert solve_hpd(a, np.eye(4)).dtype == np.complex128
 
+    def test_real_lhs_with_complex_rhs_has_the_bits_of_a_complex_lhs(self):
+        rng = np.random.default_rng(6)
+        a = exp_corr(6, 0.7).real
+        b = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        assert np.array_equal(solve_hpd(a, b), solve_hpd(a.astype(np.complex128), b))
+
+    def test_string_lhs_rejected(self):
+        with pytest.raises(ValueError):
+            solve_hpd([["1", "0"], ["0", "x"]], np.ones(2))
+
     @pytest.mark.parametrize(
         "a", [-np.eye(3), np.ones((3, 3))], ids=["indefinite", "singular"]
     )
@@ -260,7 +269,7 @@ class TestRealTimes:
     @pytest.mark.parametrize("shape", [(6, 3), (4, 6, 3)])
     def test_real_matrix_matches_the_complex_product(self, shape):
         rng = np.random.default_rng(2)
-        a = rng.standard_normal((5, 6)).astype(np.complex128)
+        a = rng.standard_normal((5, 6))
         x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         got = _real_times(a, x)
         assert got.dtype == np.complex128
@@ -272,9 +281,23 @@ class TestRealTimes:
         x = rng.standard_normal((4, 6, 3)) + 1j * rng.standard_normal((4, 6, 3))
         assert np.array_equal(_real_times(a, x), a @ x)
 
+    def test_dtype_not_value_picks_the_real_product(self):
+        # a complex128 matrix whose imaginary part is 0 is a complex product
+        rng = np.random.default_rng(3)
+        a = rng.standard_normal((5, 6)).astype(np.complex128)
+        x = rng.standard_normal((6, 3)) + 1j * rng.standard_normal((6, 3))
+        assert np.array_equal(_real_times(a, x), a @ x)
+
+    def test_real_block_is_a_real_product(self):
+        rng = np.random.default_rng(4)
+        a, x = rng.standard_normal((5, 6)), rng.standard_normal((6, 3))
+        got = _real_times(a, x)
+        assert got.dtype == np.float64
+        assert np.array_equal(got, a @ x)
+
     def test_stack_has_the_bits_of_each_matrix_alone(self):
         rng = np.random.default_rng(5)
-        a = rng.standard_normal((8, 8)).astype(np.complex128)
+        a = rng.standard_normal((8, 8))
         x = haar_orthonormal_columns(8, 3, rng, count=9)
         stacked = _real_times(a, x)
         for z, cz in zip(x, stacked):
@@ -400,55 +423,54 @@ class TestStackedSolve:
             solve_hpd(np.ones((2, 2, 3, 3)), np.ones(3))
 
 
-def blas_thread_counts():
-    return [get() for get, _ in _openblas_copies()]
+def blas_threads():
+    return _bundled_openblas()[0]()
 
 
 @pytest.fixture
-def copies():
-    # Every OpenBLAS library bundled with numpy must be found: a discovery
-    # that silently finds none would let oversubscription back. scipy's copy
-    # is neither loaded nor called by fddjam, so it is not pinned.
-    bundled = list((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*"))
-    if not bundled:
+def blas():
+    # The OpenBLAS bundled with numpy must be found: a discovery that
+    # silently finds none would let oversubscription back. scipy's copy is
+    # neither loaded nor called by fddjam, so it is not pinned.
+    if not list((Path(np.__file__).parent.parent / "numpy.libs").glob("*openblas*")):
         pytest.skip("numpy bundles no OpenBLAS")
-    found = _openblas_copies()
-    assert len(found) == len(bundled)
+    found = _bundled_openblas()
+    assert found is not None
     return found
 
 
 class TestSingleBlasThread:
-    def test_every_copy_runs_one_thread_inside(self, copies):
+    def test_every_copy_runs_one_thread_inside(self, blas):
         with _single_blas_thread():
-            assert blas_thread_counts() == [1] * len(copies)
+            assert blas_threads() == 1
             with _single_blas_thread():
                 pass
-            assert blas_thread_counts() == [1] * len(copies)
+            assert blas_threads() == 1
 
-    def test_pool_worker_started_inside_inherits_one_thread(self, copies):
+    def test_pool_worker_started_inside_inherits_one_thread(self, blas):
         with _single_blas_thread(), ProcessPoolExecutor(max_workers=1) as pool:
-            counts = pool.submit(blas_thread_counts).result(timeout=60)
-        assert counts == [1] * len(copies)
+            threads = pool.submit(blas_threads).result(timeout=60)
+        assert threads == 1
 
-    def test_restores_caller_counts_also_on_error(self, copies):
-        saved = blas_thread_counts()
+    def test_restores_caller_counts_also_on_error(self, blas):
+        get, set_ = blas
+        saved = get()
         try:
-            for _, set_ in copies:
-                set_(2)
+            set_(2)
             with pytest.raises(RuntimeError), _single_blas_thread():
                 raise RuntimeError("inside")
-            assert blas_thread_counts() == [2] * len(copies)
+            assert get() == 2
         finally:
-            for (_, set_), threads in zip(copies, saved):
-                set_(threads)
+            set_(saved)
 
-    def test_no_bundled_copy_is_a_no_op(self, monkeypatch):
-        monkeypatch.setattr(linalg, "_OPENBLAS_COPIES", ((np, "-no-such-build"),))
-        _openblas_copies.cache_clear()
+    def test_no_bundled_copy_is_a_no_op(self, monkeypatch, tmp_path):
+        # a numpy without numpy.libs, as a non-wheel build installs it
+        monkeypatch.setattr(np, "__file__", str(tmp_path / "numpy" / "__init__.py"))
+        _bundled_openblas.cache_clear()
         try:
-            assert _openblas_copies() == ()
+            assert _bundled_openblas() is None
             with _single_blas_thread():
                 x = solve_hpd(np.eye(2), np.ones(2))
             np.testing.assert_allclose(x, np.ones(2))
         finally:
-            _openblas_copies.cache_clear()
+            _bundled_openblas.cache_clear()

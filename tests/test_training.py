@@ -10,6 +10,8 @@ from fddjam.channel import ChannelCovariance, exponential_covariance
 from fddjam.experiments import (
     JAMMING_CHOICES,
     Scenario,
+    _build_jamming,
+    _build_pilots,
     _covariances,
     _evaluate_scenario,
     config_for_point,
@@ -427,6 +429,20 @@ class TestEigenInputs:
             _closed_form(terms, None, jammer_aware=True)
 
 
+def spy_solves(monkeypatch):
+    """``(lhs, rhs, result)`` dtypes of every ``solve_hpd`` call in training."""
+    dtypes = []
+    solve = fddjam.training.solve_hpd
+
+    def spy(a, b):
+        x = solve(a, b)
+        dtypes.append((a.dtype, b.dtype, x.dtype))
+        return x
+
+    monkeypatch.setattr(fddjam.training, "solve_hpd", spy)
+    return dtypes
+
+
 def single_shot_figure_points():
     """(config, scenario) of every single-shot row of figures 1-3."""
     for figure in (1, 2, 3):
@@ -454,18 +470,81 @@ class TestSingleShotRows:
             assert by_vector == by_matrix, (cfg, scenario)
 
     def test_solve_stays_real(self, monkeypatch):
-        dtypes = []
-        solve = fddjam.training.solve_hpd
-
-        def spy(a, b):
-            x = solve(a, b)
-            dtypes.append((a.dtype, b.dtype, x.dtype))
-            return x
-
-        monkeypatch.setattr(fddjam.training, "solve_hpd", spy)
+        dtypes = spy_solves(monkeypatch)
         cfg, scenario = next(single_shot_figure_points())
         row_mse(cfg, scenario.pilot_design, scenario.jamming)
         assert dtypes == [(np.float64,) * 3]
+
+
+def real_and_complex(cfg, pilot, jamming):
+    """Scenario inputs ``(pilots, jamming, cov, jcov)`` from the exponential
+    model as float64, and the same values stored as complex128."""
+    cov, jcov = _covariances(cfg)
+    real = (_build_pilots(pilot, cov, cfg.pilot_length, None),
+            _build_jamming(jamming, jcov, cfg), cov, jcov)
+    blocks = (None if b is None else UnitaryBlock(b.matrix.astype(complex)) for b in real[:2])
+    covs = (ChannelCovariance(c.matrix.astype(complex), c.eigenvalues,
+                              c.eigenvectors.astype(complex)) for c in real[2:])
+    return real, (*blocks, *covs)
+
+
+class TestRealDtype:
+    """Blocks built from the exponential model are float64, and the dtype
+    alone picks real arithmetic."""
+
+    def test_eigen_blocks_are_float64(self):
+        cov = exponential_covariance(8, 0.7)
+        blocks = (optimal_pilots(cov, 3), worst_case_pilots(cov, 3),
+                  optimal_jamming(cov, 3), single_shot_jamming(8, 3))
+        assert cov.matrix.dtype == cov.eigenvectors.dtype == np.float64
+        assert [b.matrix.dtype for b in blocks] == [np.float64] * 4
+        haar = random_unitary_pilots(8, 3, np.random.default_rng(0))
+        assert haar.matrix.dtype == np.complex128
+
+    @pytest.mark.parametrize("mode", ESTIMATOR_MODES)
+    @pytest.mark.parametrize("jamming", JAMMING_CHOICES)
+    @pytest.mark.parametrize("pilot", ["optimal", "worst-case"])
+    def test_eigen_pilot_filter_solves_in_float64(self, monkeypatch, pilot, jamming, mode):
+        dtypes = spy_solves(monkeypatch)
+        cfg = make_cfg(M=8, N=6, L=3, rg=0.5)
+        a = _mmse_filter(*real_and_complex(cfg, pilot, jamming)[0], cfg, mode)
+        assert dtypes == [(np.float64,) * 3]
+        assert a.dtype == np.float64
+
+    def test_random_pilot_filter_solves_in_complex128(self, monkeypatch):
+        dtypes = spy_solves(monkeypatch)
+        cfg = make_cfg(M=8, N=6, L=3, rg=0.5)
+        cov, jcov = _covariances(cfg)
+        pilots = random_unitary_pilots(8, 3, np.random.default_rng(1))
+        _mmse_filter(pilots, optimal_jamming(jcov, 3), cov, jcov, cfg, "jammer-aware")
+        assert dtypes == [(np.complex128,) * 3]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        cfg=scenario_configs(),
+        pilot=st.sampled_from(["optimal", "worst-case"]),
+        jamming=st.sampled_from(JAMMING_CHOICES),
+        mode=st.sampled_from(ESTIMATOR_MODES),
+    )
+    def test_closed_form_agrees_with_complex128_storage(self, cfg, pilot, jamming, mode):
+        real, complex_ = real_and_complex(cfg, pilot, jamming)
+        got = scenario_closed_form_mse(*real, cfg, mode)
+        want = scenario_closed_form_mse(*complex_, cfg, mode)
+        assert abs(got - want) <= 1e-13 * max(1.0, abs(want))
+
+    @pytest.mark.parametrize("mode", ESTIMATOR_MODES)
+    @pytest.mark.parametrize("jamming", JAMMING_CHOICES)
+    @pytest.mark.parametrize("pilot", ["optimal", "worst-case"])
+    def test_monte_carlo_agrees_with_complex128_storage(self, pilot, jamming, mode):
+        cfg = make_cfg(M=12, N=8, L=5, rg=0.5)
+        real, complex_ = real_and_complex(cfg, pilot, jamming)
+        got, want = (
+            empirical_mse(*inputs, cfg, trials=500, rng=np.random.default_rng(9),
+                          estimator_mode=mode)
+            for inputs in (real, complex_)
+        )
+        assert got.mean == pytest.approx(want.mean, rel=1e-13, abs=0)
+        assert got.std_error == pytest.approx(want.std_error, rel=1e-13, abs=0)
 
 
 class TestClosedFormInvariants:
@@ -689,6 +768,12 @@ class TestWhitenedMonteCarlo:
         jam = UnitaryBlock(haar_orthonormal_columns(5, 3, rng))
         for mode in ESTIMATOR_MODES:
             self.assert_matches_direct(pilots, jam, cov, jcov, cfg, 200, mode)
+
+    def test_real_gain_multiplies_each_plane(self):
+        rng = np.random.default_rng(5)
+        gain, x = rng.standard_normal((5, 3)), rng.standard_normal((2, 3, 9))
+        got = _planes_times(gain, x)
+        assert np.array_equal(got[0], gain @ x[0]) and np.array_equal(got[1], gain @ x[1])
 
     @pytest.mark.parametrize("imaginary", [0.0, 1.0])
     def test_planes_product_is_the_complex_product(self, imaginary):
