@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="jammer channel correlation (default: same as --r)")
     p_mse.add_argument("--pb-db", type=float, required=True,
                        help="BS power in dB relative to the noise variance; join a "
-                            "value such as -inf or -1e1 with '=': --pb-db=-1e1")
+                            "value such as -1e1 with '=': --pb-db=-1e1")
     p_mse.add_argument("--pj-db", type=float, default=None,
                        help="jammer power in dB (default: same as --pb-db); "
                             "zero power is --pj-db=-inf, joined with '='")

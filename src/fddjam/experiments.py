@@ -409,9 +409,17 @@ def write_results(rows, path, spec: ExperimentSpec | None = None) -> None:
             raise OSError(f"failed to write metadata to {meta}: {exc}") from exc
 
 
+def _written(text: str, name: str, parse, write):
+    """``parse(text)`` if ``write`` gives ``text`` back (as ``write_results`` would)."""
+    value = parse(text)
+    if write(value) != text:
+        raise ValueError(f"{name} {text!r} is not in the form write_results writes")
+    return value
+
+
 def _parse_mse(text: str, name: str) -> float:
     """An MSE field of a results CSV as a finite real >= 0, else ``ValueError``."""
-    return _real(float(text), name, 0.0, sys.float_info.max)
+    return _real(_written(text, name, float, _format_float), name, 0.0, sys.float_info.max)
 
 
 @contextlib.contextmanager
@@ -437,7 +445,8 @@ def read_results(path) -> list[ResultRow]:
     """Read a results CSV written by ``write_results``; a bad one raises ``ConfigError``.
 
     A record holds a count, a scenario's labels and finite MSEs >= 0, the
-    empirical MSE and its standard error both empty or both set."""
+    empirical MSE and its standard error both empty or both set, each number
+    written as ``write_results`` writes it."""
     path = Path(path)
     with _open_text(path, "results") as fh:
         reader = csv.reader(fh)
@@ -448,7 +457,7 @@ def read_results(path) -> list[ResultRow]:
         for record in reader:
             try:
                 axis, design, jamming, mode, closed, mc, std_err = record
-                axis = _count(int(axis), "axis")
+                axis = _count(_written(axis, "axis", int, str), "axis")
                 Scenario(design, jamming, mode)
                 closed = _parse_mse(closed, "mse_closed")
                 if (mc == "") != (std_err == ""):

@@ -31,7 +31,6 @@ from .training import (
 
 __all__ = [
     "LemmaVerdict",
-    "jamming_objective",
     "optimal_jamming",
     "single_shot_jamming",
     "verify_lemma",
@@ -85,21 +84,6 @@ def _eigen_jamming_term(strategy: str, cfg: TrainingConfig) -> np.ndarray | None
     return ratio * exponential_spectrum(num_antennas, cfg.jammer_correlation)[:length]
 
 
-def jamming_objective(jamming: UnitaryBlock, jam_cov: ChannelCovariance) -> float:
-    """Received jamming power proxy ``trace(Z^H C Z)``.
-
-    Bounded between the sums of the bottom and top ``pilot_length``
-    eigenvalues of the covariance.
-    """
-    if jamming.num_antennas != jam_cov.size:
-        raise ValueError(
-            f"jamming matrix has {jamming.num_antennas} antennas, covariance "
-            f"has {jam_cov.size}"
-        )
-    z = jamming.matrix
-    return float(np.vdot(z, _real_times(jam_cov.matrix, z)).real)
-
-
 @dataclass(frozen=True)
 class LemmaVerdict:
     """Outcome of stress-testing the eigen-optimal jamming design.
@@ -137,10 +121,11 @@ def verify_lemma(
     larger MSE surfaces through ``mse_counterexample_found``.
 
     Both MSEs come from the training-length closed form that
-    ``scenario_closed_form_mse`` uses; the pilot-side terms are computed once,
-    so each candidate costs one product ``C_jam Z``, real for a float64 ``C_jam``,
-    which serves both the trace objective and ``(C_jam Z)^H Z``, and one
-    ``L x L`` solve.
+    ``scenario_closed_form_mse`` uses, through one evaluator of a stack of
+    blocks; the eigen-optimal block is a stack of one. The pilot-side terms
+    are computed once, so each block costs one product ``C_jam Z``, real for
+    a float64 ``C_jam``, which serves both the trace objective and
+    ``(C_jam Z)^H Z``, and one ``L x L`` solve.
 
     Candidates are drawn from ``rng`` and evaluated in stacks of
     ``_LEMMA_STACK``, with one stacked call per step, on the calling thread.
@@ -161,25 +146,23 @@ def verify_lemma(
     z_opt = optimal_jamming(jam_cov, length)
     _check_dimensions(pilots, z_opt, bs_cov, jam_cov, cfg)
     terms = _pilot_terms(pilots, bs_cov, cfg)
-    optimal_objective = jamming_objective(z_opt, jam_cov)
-    optimal_mse = _closed_form(
-        terms, _jamming_term(z_opt.matrix, jam_cov, cfg), jammer_aware=True
-    )
 
-    best_objective: float | None = None
-    best_mse: float | None = None
-    for start in range(0, num_random, _LEMMA_STACK):
-        zs = haar_orthonormal_columns(
-            jam_cov.size, length, rng, min(_LEMMA_STACK, num_random - start)
-        )
+    def evaluate(zs: np.ndarray) -> tuple[list[float], list[float]]:
+        """Trace objectives and jammer-aware MSEs of an ``(n, N, L)`` stack of blocks."""
         czs = _real_times(jam_cov.matrix, zs)
-        mses = _closed_form(terms, _jamming_term(zs, jam_cov, cfg, czs), True)
-        for z, cz, mse in zip(zs, czs, mses):
-            objective = float(np.vdot(z, cz).real)
-            if best_objective is None or objective > best_objective:
-                best_objective = objective
-            if best_mse is None or mse > best_mse:
-                best_mse = mse
+        objectives = [float(np.vdot(z, cz).real) for z, cz in zip(zs, czs)]
+        return objectives, _closed_form(terms, _jamming_term(zs, czs, cfg), True)
+
+    (optimal_objective,), (optimal_mse,) = evaluate(z_opt.matrix[None])
+    objectives, mses = [], []
+    for start in range(0, num_random, _LEMMA_STACK):
+        stack_objectives, stack_mses = evaluate(haar_orthonormal_columns(
+            jam_cov.size, length, rng, min(_LEMMA_STACK, num_random - start)
+        ))
+        objectives += stack_objectives
+        mses += stack_mses
+    best_objective = max(objectives, default=None)
+    best_mse = max(mses, default=None)
 
     if best_objective is not None and best_objective > optimal_objective + KY_FAN_SLACK:
         raise ArithmeticError(

@@ -97,9 +97,11 @@ class TrainingConfig:
     """Scalar parameters of one training scenario.
 
     Powers are given in dB relative to the noise variance: the linear powers
-    are ``noise_variance * 10 ** (db / 10)``, and ``-inf`` dB switches a
-    transmitter off. ``noise_variance = 0`` is accepted as a noiseless testing
-    mode; the dB values are then read against a unit reference instead.
+    are ``noise_variance * 10 ** (db / 10)``, and ``-inf`` dB switches the
+    jammer off. The BS power must be positive, and ``noise_variance /
+    bs_power`` and ``num_jammer_antennas * jammer_power / bs_power`` finite.
+    ``noise_variance = 0`` is accepted as a noiseless testing mode; the dB
+    values are then read against a unit reference instead.
     ``jammer_power_db`` and ``jammer_correlation`` default to ``bs_power_db``
     and ``bs_correlation`` when left unset (None). Every real field must be a
     real number, not a bool, and is stored as a ``float``; anything else
@@ -139,6 +141,14 @@ class TrainingConfig:
                 raise ValueError(
                     f"{field} must be a number whose linear power is finite, got {value!r}"
                 )
+        # the training system is scaled by 1 / bs_power; no term may overflow
+        bs_power = self.bs_power
+        if not bs_power > 0 or not math.isfinite(self.noise_variance / bs_power):
+            raise ValueError(f"bs_power_db {self.bs_power_db!r} leaves no finite "
+                             "noise_variance / bs_power")
+        if not math.isfinite(self.num_jammer_antennas * (self.jammer_power / bs_power)):
+            raise ValueError(f"jammer_power_db {self.jammer_power_db!r} over bs_power_db "
+                             f"{self.bs_power_db!r} overflows the jamming term")
 
     @property
     def bs_power(self) -> float:
@@ -237,13 +247,6 @@ def _hermitian_part(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + (a.conj().mT if a.ndim > 1 else a.conj()))
 
 
-def _noise_term(cfg: TrainingConfig, length: int) -> float:
-    """Noise level ``noise_variance / (L * bs_power)`` of the scaled training system."""
-    if cfg.bs_power <= 0:
-        raise ValueError("BS training power must be positive for estimation")
-    return cfg.noise_variance / (length * cfg.bs_power)
-
-
 def _pilot_terms(pilots: UnitaryBlock, bs_cov: ChannelCovariance, cfg: TrainingConfig):
     """Pilot-side terms ``(K, CP, tr C, M)`` of a pilot block ``P``.
 
@@ -254,7 +257,7 @@ def _pilot_terms(pilots: UnitaryBlock, bs_cov: ChannelCovariance, cfg: TrainingC
     ``_closed_form`` takes, with ``G = CP``.
     """
     length = pilots.length
-    noise = _noise_term(cfg, length)
+    noise = cfg.noise_variance / (length * cfg.bs_power)
     cp = bs_cov.matrix @ pilots.matrix
     k = pilots.matrix.conj().T @ cp + noise * np.eye(length)
     trace_c = float(np.trace(bs_cov.matrix).real)
@@ -273,23 +276,19 @@ def _eigen_pilot_terms(design: str, cfg: TrainingConfig):
     if design not in ("optimal", "worst-case"):
         raise ValueError(f"pilot design {design!r} has no eigenvalue form")
     m, length = cfg.num_bs_antennas, cfg.pilot_length
-    noise = _noise_term(cfg, length)
+    noise = cfg.noise_variance / (length * cfg.bs_power)
     spectrum = exponential_spectrum(m, cfg.bs_correlation)
     selected = spectrum[:length] if design == "optimal" else spectrum[m - length:]
     return selected + noise, selected, float(m), m
 
 
-def _jamming_term(
-    z: np.ndarray, jam_cov: ChannelCovariance, cfg: TrainingConfig, cz: np.ndarray | None = None
-) -> np.ndarray:
+def _jamming_term(z: np.ndarray, cz: np.ndarray, cfg: TrainingConfig) -> np.ndarray:
     """Jamming term ``J = (jammer_power / bs_power) * (C_jZ)ᴴZ`` of the received block.
 
-    ``z`` may be an ``(n, N, L)`` stack of blocks, giving an ``(n, L, L)``
-    stack of terms. A caller that has ``C_jZ`` already passes it as ``cz``;
-    it must be ``_real_times(jam_cov.matrix, z)``, which is computed otherwise.
+    ``cz`` is ``C_jZ``, formed as ``_real_times(jam_cov.matrix, z)``. ``z``
+    and ``cz`` may be ``(n, N, L)`` stacks, giving an ``(n, L, L)`` stack of
+    terms.
     """
-    if cz is None:
-        cz = _real_times(jam_cov.matrix, z)
     return (cfg.jammer_power / cfg.bs_power) * (cz.conj().mT @ z)
 
 
@@ -395,7 +394,9 @@ def _scenario_terms(
         )
     _check_dimensions(pilots, jamming, bs_cov, jam_cov, cfg)
     terms = _pilot_terms(pilots, bs_cov, cfg)
-    jam = None if jamming is None else _jamming_term(jamming.matrix, jam_cov, cfg)
+    jam = None if jamming is None else _jamming_term(
+        jamming.matrix, _real_times(jam_cov.matrix, jamming.matrix), cfg
+    )
     return terms, jam, estimator_mode == "jammer-aware"
 
 
@@ -435,10 +436,9 @@ def scenario_closed_form_mse(
     ignores the jamming statistics while the received signal still contains
     them, so under strong jamming it can exceed one.
 
-    Raises ``ValueError`` for a non-positive BS power and
-    ``numpy.linalg.LinAlgError`` when the training-length system is singular,
-    which requires a zero noise variance together with a rank-deficient
-    pilot/covariance combination.
+    Raises ``numpy.linalg.LinAlgError`` when the training-length system is
+    singular, which requires a zero noise variance together with a
+    rank-deficient pilot/covariance combination.
     """
     terms, jam, jammer_aware = _scenario_terms(
         pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode

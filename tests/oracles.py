@@ -14,7 +14,7 @@ import math
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from fddjam.jammer import LemmaVerdict, jamming_objective, optimal_jamming
+from fddjam.jammer import LemmaVerdict, optimal_jamming
 from fddjam.linalg import _count, _real_times
 from fddjam.tolerances import KY_FAN_SLACK, PSD_EIG_FLOOR
 from fddjam.training import (
@@ -140,6 +140,21 @@ def full_dimension_mse(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode):
 # included.
 
 
+def jamming_objective(jamming, jam_cov):
+    """Received jamming power proxy ``trace(Z^H C Z)``, the lemma's trace objective.
+
+    Bounded between the sums of the bottom and top ``pilot_length``
+    eigenvalues of the covariance.
+    """
+    if jamming.num_antennas != jam_cov.size:
+        raise ValueError(
+            f"jamming matrix has {jamming.num_antennas} antennas, covariance "
+            f"has {jam_cov.size}"
+        )
+    z = jamming.matrix
+    return float(np.vdot(z, _real_times(jam_cov.matrix, z)).real)
+
+
 def haar_one_by_one(rows, cols, rng):
     """One Haar matrix per call; a rank-deficient draw raises."""
     x = np.sqrt(0.5) * (
@@ -159,14 +174,16 @@ def verify_lemma_one_by_one(bs_cov, jam_cov, pilots, cfg, num_random, rng):
     _check_dimensions(pilots, z_opt, bs_cov, jam_cov, cfg)
     terms = _pilot_terms(pilots, bs_cov, cfg)
     optimal_objective = jamming_objective(z_opt, jam_cov)
+    cz_opt = _real_times(jam_cov.matrix, z_opt.matrix)
     optimal_mse = _closed_form(
-        terms, _jamming_term(z_opt.matrix, jam_cov, cfg), jammer_aware=True
+        terms, _jamming_term(z_opt.matrix, cz_opt, cfg), jammer_aware=True
     )
     best_objective = best_mse = None
     for _ in range(num_random):
         z = haar_one_by_one(jam_cov.size, length, rng)
-        objective = float(np.vdot(z, _real_times(jam_cov.matrix, z)).real)
-        mse = _closed_form(terms, _jamming_term(z, jam_cov, cfg), jammer_aware=True)
+        cz = _real_times(jam_cov.matrix, z)
+        objective = float(np.vdot(z, cz).real)
+        mse = _closed_form(terms, _jamming_term(z, cz, cfg), jammer_aware=True)
         if best_objective is None or objective > best_objective:
             best_objective = objective
         if best_mse is None or mse > best_mse:

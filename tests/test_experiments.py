@@ -427,9 +427,14 @@ class TestCsvRoundTrip:
          ("5,optimal,silent,jammer-aware,nan,,", "mse_closed must be a real number"),
          ("5,optimal,silent,jammer-aware,0.5,-inf,0.1", "mse_empirical must be a real number"),
          ("5,optimal,silent,jammer-aware,0.5,0.4,-0.1", "std_err must be a real number"),
-         ("5,optimal,silent,jammer-aware,0.5,0.4,", "both empty or both set")],
+         ("5,optimal,silent,jammer-aware,0.5,0.4,", "both empty or both set"),
+         ("1_0,optimal,silent,jammer-aware, 0.5 ,,", "axis '1_0' is not in the form"),
+         ("10,optimal,silent,jammer-aware, 0.5 ,,", "mse_closed ' 0.5 ' is not in the form"),
+         ("10,optimal,silent,jammer-aware,0.5,0.40,0.1", "mse_empirical '0.40' is not"),
+         ("010,optimal,silent,jammer-aware,0.5,,", "axis '010' is not in the form")],
         ids=["axis", "closed", "std-err", "short", "unwritten-row", "label",
-             "nan-closed", "infinite-empirical", "negative-std-err", "half-empirical"],
+             "nan-closed", "infinite-empirical", "negative-std-err", "half-empirical",
+             "underscore-axis", "spaced-closed", "trailing-zero", "leading-zero-axis"],
     )
     def test_read_names_file_and_record_of_a_bad_field(self, tmp_path, record, problem):
         path = tmp_path / "bad.csv"

@@ -10,7 +10,6 @@ import fddjam.training
 from fddjam.channel import ChannelCovariance, exponential_covariance
 from fddjam.jammer import (
     _LEMMA_STACK,
-    jamming_objective,
     optimal_jamming,
     single_shot_jamming,
     verify_lemma,
@@ -24,7 +23,7 @@ from fddjam.training import (
     scenario_closed_form_mse,
     worst_case_pilots,
 )
-from oracles import full_dimension_mse, verify_lemma_one_by_one
+from oracles import full_dimension_mse, jamming_objective, verify_lemma_one_by_one
 
 # Off-diagonal Frobenius mass allowed where a congruence should be diagonal.
 DIAGONALITY_TOL = 1e-9

@@ -26,13 +26,13 @@ REAL_FIELDS = ("noise_variance", "bs_correlation", "jammer_correlation",
 
 
 # Values outside each parameter's range: a correlation lies in [0, 1], the
-# noise variance is finite and non-negative, a power in dB may be -inf (off)
-# but its linear power must be finite.
+# noise variance is finite and non-negative, the jammer's power in dB may be
+# -inf (off) but the BS's may not, and each linear power must be finite.
 OUT_OF_RANGE = {
     "noise_variance": [-1.0, math.inf],
     "bs_correlation": [-0.1, 1.5],
     "jammer_correlation": [-0.1, 1.5],
-    "bs_power_db": [math.inf, 3100.0],
+    "bs_power_db": [math.inf, 3100.0, -math.inf],
     "jammer_power_db": [math.inf, 3100.0],
     "coefficient": [-0.1, 1.5],
 }
@@ -106,6 +106,33 @@ def test_mse_flag_rejects_bad_real_exit_2(capsys, flag, name, value):
     code, err = cli_exit(capsys, [*MSE, f"{flag}={value}"])
     assert code == 2
     assert name in err
+
+
+# Power pairs each finite in dB whose scaled training system has no BS power
+# or overflows, and the keys the error names: (bs_power_db, jammer_power_db,
+# keys). None leaves the jammer's power at the BS's.
+POWER_PROBES = [
+    pytest.param(-3000.0, 3000.0, ("bs_power_db", "jammer_power_db"), id="jammer-ratio"),
+    pytest.param(-3200.0, None, ("bs_power_db",), id="noise-ratio"),
+    pytest.param(-3300.0, None, ("bs_power_db",), id="underflow"),
+    pytest.param(-math.inf, None, ("bs_power_db",), id="bs-off"),
+]
+
+
+@pytest.mark.parametrize(("pb", "pj", "keys"), POWER_PROBES)
+def test_power_pair_that_overflows_raises_naming_it(pb, pj, keys):
+    with pytest.raises(ValueError) as info:
+        training_config(bs_power_db=pb, jammer_power_db=pj)
+    assert all(key in str(info.value) for key in keys)
+
+
+@pytest.mark.parametrize("jamming", ["silent", "single-shot", "eigen-optimal"])
+@pytest.mark.parametrize(("pb", "pj", "keys"), POWER_PROBES)
+def test_mse_power_pair_that_overflows_exits_2(capsys, pb, pj, keys, jamming):
+    powers = [f"--pb-db={pb}"] + ([] if pj is None else [f"--pj-db={pj}"])
+    code, err = cli_exit(capsys, [*MSE[:-2], *powers, "--jamming", jamming])
+    assert code == 2
+    assert all(key in err for key in keys)
 
 
 GOOD = [0, np.int64(0), np.float32(0.5), np.float64(0.5), Fraction(1, 2), 0.5]

@@ -18,7 +18,7 @@ from fddjam.experiments import (
     figure_spec,
 )
 from fddjam.jammer import _eigen_jamming_term, optimal_jamming, single_shot_jamming
-from fddjam.linalg import haar_orthonormal_columns
+from fddjam.linalg import _real_times, haar_orthonormal_columns
 from fddjam.tolerances import HERMITIAN_ATOL
 from fddjam.training import (
     ESTIMATOR_MODES,
@@ -69,8 +69,8 @@ class TestTrainingConfig:
         assert cfg.bs_power == pytest.approx(1.0)
 
     def test_minus_infinity_db_means_off(self):
-        cfg = make_cfg(pb=float("-inf"))
-        assert cfg.bs_power == 0.0
+        cfg = make_cfg(pj=float("-inf"))
+        assert cfg.jammer_power == 0.0
 
     def test_jammer_correlation_defaults_to_bs(self):
         cfg = make_cfg(r=0.6, rg=None)
@@ -232,10 +232,8 @@ class TestEstimateCovariance:
         assert float(np.linalg.eigvalsh(cov.matrix - est).min()) >= ERROR_COV_PSD_FLOOR
 
     def test_rejects_zero_bs_power(self):
-        cfg = make_cfg(M=4, L=2, pb=float("-inf"))
-        cov = exponential_covariance(4, 0.5)
-        with pytest.raises(ValueError, match="positive"):
-            scenario_closed_form_mse(optimal_pilots(cov, 2), None, cov, None, cfg)
+        with pytest.raises(ValueError, match="bs_power_db -inf leaves no finite noise_variance"):
+            make_cfg(M=4, L=2, pb=float("-inf"))
 
 
 class TestClosedFormMse:
@@ -303,17 +301,17 @@ class TestStackedJamming:
     @pytest.mark.parametrize("L", [1, 3, 6])
     def test_each_value_is_its_term_alone(self, L):
         terms, zs, jcov, cfg = self.inputs(L=L)
-        jams = _jamming_term(zs, jcov, cfg)
+        jams = _jamming_term(zs, _real_times(jcov.matrix, zs), cfg)
         assert jams.shape == (len(zs), L, L)
         for z, jam in zip(zs, jams):
-            assert np.array_equal(jam, _jamming_term(z, jcov, cfg))
+            assert np.array_equal(jam, _jamming_term(z, _real_times(jcov.matrix, z), cfg))
         values = _closed_form(terms, jams, jammer_aware=True)
         assert values == [_closed_form(terms, jam, jammer_aware=True) for jam in jams]
 
     def test_unaware_stack_is_rejected(self):
         terms, zs, jcov, cfg = self.inputs()
         with pytest.raises(ValueError, match="jammer-aware"):
-            _closed_form(terms, _jamming_term(zs, jcov, cfg), jammer_aware=False)
+            _closed_form(terms, _jamming_term(zs, _real_times(jcov.matrix, zs), cfg), False)
 
 
 def random_covariance(size, rng, general):
