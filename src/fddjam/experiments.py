@@ -24,7 +24,7 @@ import numpy as np
 
 from ._version import __version__
 from .channel import ChannelCovariance, exponential_covariance
-from .jammer import _eigen_jamming_term, optimal_jamming, single_shot_jamming
+from .jammer import optimal_jamming, single_shot_jamming
 from .linalg import _count, _one_blas_thread, _real, _single_blas_thread
 from .training import (
     ESTIMATOR_MODES,
@@ -32,7 +32,7 @@ from .training import (
     TrainingConfig,
     UnitaryBlock,
     _closed_form,
-    _eigen_pilot_terms,
+    _eigen_system,
     empirical_mse,
     optimal_pilots,
     random_unitary_pilots,
@@ -181,7 +181,7 @@ def config_for_point(base: TrainingConfig, sweep_axis: str, axis_value: int) -> 
     return dataclasses.replace(base, **{_axis_field(sweep_axis): int(axis_value)})
 
 
-def resolve_workers(workers: int | None = None, *, max_useful: int | None = None) -> int:
+def resolve_workers(workers: int | None = None) -> int:
     """Parallelism degree: explicit argument, else FDDJAM_WORKERS, else cores.
 
     Each must be a positive integer; anything else raises ``ConfigError``
@@ -197,8 +197,6 @@ def resolve_workers(workers: int | None = None, *, max_useful: int | None = None
         workers = _count(workers, WORKERS_ENV_VAR, 1, error=ConfigError)
     else:
         workers = os.cpu_count() or 1
-    if max_useful is not None:
-        workers = min(workers, max(1, max_useful))
     return workers
 
 
@@ -264,8 +262,7 @@ def _evaluate_scenario(
         )
     else:
         closed = _closed_form(
-            _eigen_pilot_terms(scenario.pilot_design, cfg),
-            _eigen_jamming_term(scenario.jamming, cfg),
+            *_eigen_system(scenario.pilot_design, scenario.jamming, cfg),
             scenario.estimator_mode == "jammer-aware",
         )
     mse_mc = std_err = None
@@ -328,9 +325,9 @@ def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[Resul
     Monte-Carlo trials or random pilots, uses worker processes: its axis
     values may be evaluated across a process pool of ``workers`` (argument,
     else the FDDJAM_WORKERS environment variable, else the machine core
-    count). Any other sweep reads only cached covariance spectra and runs
-    serially in the calling process; for the built-in figures that takes
-    less time than starting the pool.
+    count), at most one per axis value. Any other sweep reads only cached
+    covariance spectra and runs serially in the calling process; for the
+    built-in figures that takes less time than starting the pool.
 
     The OpenBLAS bundled with numpy runs on one thread for the whole sweep,
     in the serial path and in every worker, which pins itself as it starts,
@@ -339,7 +336,7 @@ def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[Resul
     inside a sweep. A non-OpenBLAS build is left alone.
     """
     n = len(spec.axis_values)
-    workers = resolve_workers(workers, max_useful=n)
+    workers = min(resolve_workers(workers), n)
     with _single_blas_thread():
         if workers > 1 and any(
             _needs_blocks(scenario, spec.monte_carlo_trials) for scenario in spec.scenarios

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelCovariance, _exponential_block, exponential_spectrum
+from .channel import ChannelCovariance
 from .linalg import _count, _real_times, haar_orthonormal_columns
 from .tolerances import KY_FAN_SLACK
 from .training import (
@@ -61,27 +61,6 @@ def single_shot_jamming(num_antennas: int, pilot_length: int) -> UnitaryBlock:
     num_antennas = _count(num_antennas, "num_antennas", 1)
     pilot_length = _count(pilot_length, _BLOCK_LENGTH, 1, num_antennas)
     return UnitaryBlock(np.eye(num_antennas, pilot_length))
-
-
-def _eigen_jamming_term(strategy: str, cfg: TrainingConfig) -> np.ndarray | None:
-    """Jamming term ``J`` of a strategy, from the exponential jammer covariance.
-
-    None for a silent jammer. Single-shot jamming sends the first ``L``
-    identity columns, so ``J = ρ·T_L``, the real top-left ``L x L`` block of
-    the jammer covariance. Eigen-optimal jamming sends the top eigenvectors,
-    so ``J = ρ·diag(μ_1..μ_L)``, returned as its diagonal. Here
-    ``ρ = jammer_power / bs_power`` as in ``_jamming_term``.
-    """
-    if strategy == "silent":
-        return None
-    if strategy not in ("single-shot", "eigen-optimal"):
-        raise ValueError(f"jamming strategy {strategy!r} has no eigenvalue form")
-    num_antennas = cfg.num_jammer_antennas
-    length = _count(cfg.pilot_length, _BLOCK_LENGTH, 1, num_antennas)
-    ratio = cfg.jammer_power / cfg.bs_power
-    if strategy == "single-shot":
-        return ratio * _exponential_block(num_antennas, cfg.jammer_correlation, length)
-    return ratio * exponential_spectrum(num_antennas, cfg.jammer_correlation)[:length]
 
 
 @dataclass(frozen=True)

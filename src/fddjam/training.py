@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelCovariance, exponential_spectrum
+from .channel import ChannelCovariance, _exponential_block, exponential_spectrum
 from .linalg import (
     _count,
     _finite_matrix,
@@ -264,22 +264,34 @@ def _pilot_terms(pilots: UnitaryBlock, bs_cov: ChannelCovariance, cfg: TrainingC
     return _hermitian_part(k), cp, trace_c, bs_cov.size
 
 
-def _eigen_pilot_terms(design: str, cfg: TrainingConfig):
-    """Closed-form inputs ``(K, G, tr C, M)`` of optimal or worst-case pilots.
+def _eigen_system(design: str, jamming: str, cfg: TrainingConfig):
+    """Closed-form inputs ``((K, G, tr C, M), J)`` of a scenario with optimal
+    or worst-case pilots, from the covariance spectra alone.
 
-    Their columns are eigenvectors of the exponential BS covariance, so
+    The pilots are eigenvectors of the exponential BS covariance, so
     ``K = diag(λ_sel) + noise * I`` and, in the ``L``-dimensional eigenbasis,
-    ``G = diag(λ_sel)`` follow from the selected eigenvalues ``λ_sel`` alone
-    and are returned as their diagonals; the unit diagonal makes ``tr C``
-    the antenna count.
+    ``G = diag(λ_sel)`` follow from the selected eigenvalues ``λ_sel`` and
+    are returned as their diagonals; the unit diagonal makes ``tr C`` the
+    antenna count. ``J`` is None for a silent jammer. Single-shot jamming
+    sends the first ``L`` identity columns, so ``J = ρ·T_L``, the real
+    top-left ``L x L`` block of the jammer covariance. Eigen-optimal jamming
+    sends the top eigenvectors, so ``J = ρ·diag(μ_1..μ_L)``, returned as its
+    diagonal. Here ``ρ = jammer_power / bs_power`` as in ``_jamming_term``.
     """
-    if design not in ("optimal", "worst-case"):
-        raise ValueError(f"pilot design {design!r} has no eigenvalue form")
     m, length = cfg.num_bs_antennas, cfg.pilot_length
     noise = cfg.noise_variance / (length * cfg.bs_power)
     spectrum = exponential_spectrum(m, cfg.bs_correlation)
     selected = spectrum[:length] if design == "optimal" else spectrum[m - length:]
-    return selected + noise, selected, float(m), m
+    jam = None
+    if jamming != "silent":
+        n = cfg.num_jammer_antennas
+        _count(length, _BLOCK_LENGTH, 1, n)
+        ratio = cfg.jammer_power / cfg.bs_power
+        if jamming == "single-shot":
+            jam = ratio * _exponential_block(n, cfg.jammer_correlation, length)
+        else:
+            jam = ratio * exponential_spectrum(n, cfg.jammer_correlation)[:length]
+    return (selected + noise, selected, float(m), m), jam
 
 
 def _jamming_term(z: np.ndarray, cz: np.ndarray, cfg: TrainingConfig) -> np.ndarray:
@@ -304,30 +316,42 @@ def _estimator_k(k: np.ndarray, jam: np.ndarray | None, jammer_aware: bool) -> n
     return _hermitian_part(k + jam) if jammer_aware and jam is not None else k
 
 
+def _filter(terms, jam, jammer_aware: bool) -> np.ndarray:
+    """The estimator's solve ``W = K_est⁻¹Gᴴ`` of the ``L x L`` training system.
+
+    ``terms`` and ``jam`` are as in ``_closed_form``; ``K_est`` is ``K + J``
+    for a jammer-aware estimator and a transmitting jammer, else ``K``. A 1-D
+    ``K``, ``G`` or ``J`` is the diagonal of a matrix. The solve is
+    Cholesky-checked and real when the inputs are. An ``(n, L, L)`` stack of
+    ``J`` gives an ``(n, L, M)`` stack of ``W`` when the estimator models
+    ``J``, else the one ``W`` of ``K``.
+    """
+    k, g, *_ = terms
+    jam = None if jam is None else _as_matrix(jam)
+    return solve_hpd(_estimator_k(_as_matrix(k), jam, jammer_aware), _as_matrix(g).conj().T)
+
+
 def _closed_form(terms, jam, jammer_aware: bool) -> float | list[float]:
     """Per-antenna MSE from the ``L x L`` training system.
 
     ``terms`` is ``(K, G, tr C, M)`` with ``GᴴG = PᴴC²P``; ``jam`` is the
     jamming term ``J`` or None for a silent jammer. ``K`` and ``J`` are each
     an ``L x L`` matrix and ``G`` has ``L`` columns (``CP``); each may
-    instead be the 1-D diagonal of a real diagonal ``L x L`` matrix. With
-    ``X = (K_est⁻¹Gᴴ)G`` for the ``K_est`` the estimator models (``K + J``
-    when it is jammer-aware, else ``K``), the error-covariance trace is
-    ``tr C - tr X + tr(K⁻¹ J X)``, where the last term is the jamming the
-    estimator leaves out.
+    instead be the 1-D diagonal of a real diagonal ``L x L`` matrix. With the
+    filter ``W = K_est⁻¹Gᴴ`` of ``_filter``, the error-covariance trace is
+    ``tr C - tr(WG)``, plus ``tr(WᴴJW)`` for a jammer-unaware estimator: the
+    jamming its filter passes but does not model.
 
-    When every input is 1-D the system is solved elementwise; otherwise a
-    1-D ``K`` or ``J`` becomes a diagonal matrix and one Cholesky-checked
-    solve serves both ``K_est⁻¹Gᴴ`` and ``K⁻¹J``, real when the inputs are;
-    a 1-D ``G`` then scales the solved columns instead of multiplying by
-    ``diag(G)``. ``GᴴG`` is never formed: with a
-    rank-deficient ``C`` its round-off, amplified by ``K⁻¹J``, cost the
+    When every input is 1-D the system is solved elementwise; otherwise one
+    solve gives ``W``, and a 1-D ``G`` then scales its columns instead of
+    multiplying by ``diag(G)``. ``GᴴG`` is never formed: with a
+    rank-deficient ``C`` its round-off, amplified by the jamming, cost the
     unaware value about 1e-10 against the full-dimension formula.
 
-    ``J`` may also be an ``(n, L, L)`` stack of jamming terms for a
-    jammer-aware estimator: one stacked solve then gives a list of ``n``
-    MSEs, each with the bits of that ``J`` evaluated alone. A check that
-    fails for one of them fails the call.
+    ``J`` may also be an ``(n, L, L)`` stack of jamming terms, for either
+    estimator: one stacked solve then gives a list of ``n`` MSEs, each with
+    the bits of that ``J`` evaluated alone. A check that fails for one of
+    them fails the call.
 
     Raises ``numpy.linalg.LinAlgError`` when ``K_est`` is not positive
     definite and ``ArithmeticError`` if the value is negative beyond
@@ -335,8 +359,6 @@ def _closed_form(terms, jam, jammer_aware: bool) -> float | list[float]:
     """
     k, g, trace_c, num_antennas = terms
     leaves_out = not jammer_aware and jam is not None
-    if leaves_out and np.ndim(jam) == 3:
-        raise ValueError("a stack of jamming terms needs the jammer-aware estimator")
     inputs = (k, g) if jam is None else (k, g, jam)
     if all(np.ndim(a) == 1 for a in inputs):
         k_est = _estimator_k(k, jam, jammer_aware)
@@ -346,24 +368,15 @@ def _closed_form(terms, jam, jammer_aware: bool) -> float | list[float]:
         value = trace_c - float(np.sum(x))
         if leaves_out:
             value += float(np.sum((jam / k_est) * x))
-    else:
-        k = _as_matrix(k)
-        jam = None if jam is None else _as_matrix(jam)
-        k_est = _estimator_k(k, jam, jammer_aware)
-        rows = g.shape[0]
-        rhs = _as_matrix(g).conj().T
-        solved = solve_hpd(k_est, np.hstack([rhs, jam]) if leaves_out else rhs)
-        # a 1-D G scales columns: the same bits as a product with diag(G)
-        x = solved[..., :rows] * g if np.ndim(g) == 1 else solved[..., :rows] @ g
-        if x.ndim == 3:
-            traces = np.trace(x, axis1=1, axis2=2).real
-            return [_checked_mse(trace_c - float(t), trace_c, num_antennas, False)
-                    for t in traces]
-        value = trace_c - float(np.trace(x).real)
-        if leaves_out:
-            # tr(K⁻¹ J X) as the elementwise product of K⁻¹J with Xᵀ
-            value += float(np.sum(solved[:, rows:] * x.T).real)
-    return _checked_mse(value, trace_c, num_antennas, leaves_out)
+        return _checked_mse(value, trace_c, num_antennas, leaves_out)
+    w = _filter(terms, jam, jammer_aware)
+    # a 1-D G scales columns: the same bits as a product with diag(G)
+    x = w * g if np.ndim(g) == 1 else w @ g
+    values = trace_c - np.trace(x, axis1=-2, axis2=-1).real
+    if leaves_out:
+        values += np.sum(w.conj() * (_as_matrix(jam) @ w), axis=(-2, -1)).real
+    mses = [_checked_mse(float(v), trace_c, num_antennas, leaves_out) for v in np.ravel(values)]
+    return mses if np.ndim(jam) == 3 else mses[0]
 
 
 def _checked_mse(value: float, trace_c: float, num_antennas: int, leaves_out: bool) -> float:
@@ -410,14 +423,12 @@ def _mmse_filter(
 ) -> np.ndarray:
     """Linear estimator matrix ``A`` such that the estimate is ``A @ received``.
 
-    ``A = (K_est⁻¹PᴴC)ᴴ / sqrt(L * bs_power)``. In ``jammer-unaware`` mode
-    the filter is built without the jamming statistics even when a jammer is
-    present in the signal (model mismatch).
+    ``A = Wᴴ / sqrt(L * bs_power)`` with ``W = K_est⁻¹PᴴC``, the closed
+    form's solve (``_filter``). In ``jammer-unaware`` mode the filter is
+    built without the jamming statistics even when a jammer is present in
+    the signal (model mismatch).
     """
-    (k, cp, *_), jam, jammer_aware = _scenario_terms(
-        pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode
-    )
-    w = solve_hpd(_estimator_k(k, jam, jammer_aware), cp.conj().T)
+    w = _filter(*_scenario_terms(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode))
     return w.conj().T / np.sqrt(pilots.length * cfg.bs_power)
 
 
@@ -440,10 +451,7 @@ def scenario_closed_form_mse(
     singular, which requires a zero noise variance together with a
     rank-deficient pilot/covariance combination.
     """
-    terms, jam, jammer_aware = _scenario_terms(
-        pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode
-    )
-    return _closed_form(terms, jam, jammer_aware)
+    return _closed_form(*_scenario_terms(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode))
 
 
 def _planes_times(gain: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -17,8 +17,9 @@ import fddjam
 from fddjam import cli
 from fddjam.cli import main
 from fddjam import experiments
-from fddjam.experiments import load_metadata_spec, read_results
+from fddjam.experiments import JAMMING_CHOICES, load_metadata_spec, read_results
 from fddjam.linalg import _bundled_openblas
+from fddjam.training import ESTIMATOR_MODES, PILOT_DESIGNS
 
 
 def run_cli(capsys, argv):
@@ -132,6 +133,24 @@ class TestMseCommand:
         assert [float(f) for f in fields[4:]] == pytest.approx(
             [0.851869810701, 0.843014650874, 0.00748985513122], rel=1e-9
         )
+
+    def test_every_scenario_row_is_pinned(self, capsys):
+        # closed form and 500 trials of both estimators, as printed at 12 digits
+        rows = []
+        for pilot in PILOT_DESIGNS:
+            for jamming in JAMMING_CHOICES:
+                for mode in ESTIMATOR_MODES:
+                    code, out, _ = run_cli(
+                        capsys,
+                        ["mse", "--M", "16", "--L", "4", "--r", "0.7", "--pb-db", "5",
+                         "--trials", "500", "--seed", "3", "--pilot", pilot,
+                         "--jamming", jamming, "--estimator", mode],
+                    )
+                    assert code == 0
+                    header, row = out.splitlines()
+                    rows.append(row)
+        pinned = Path(__file__).resolve().parent / "data" / "mse-18.txt"
+        assert [header, *rows] == pinned.read_text().splitlines()
 
 
 class TestSweepCommand:

@@ -357,7 +357,21 @@ class TestWorkers:
     def test_env_variable_controls_default(self, monkeypatch):
         monkeypatch.setenv("FDDJAM_WORKERS", "3")
         assert resolve_workers() == 3
-        assert resolve_workers(max_useful=2) == 2
+
+    def test_pool_has_no_more_workers_than_axis_values(self, monkeypatch):
+        started = []
+
+        class NoPool:
+            def __init__(self, *args, max_workers, **kwargs):
+                started.append(max_workers)
+                raise RuntimeError("pool started")
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setenv("FDDJAM_WORKERS", "3")
+        spec = dataclasses.replace(small_spec(trials=10), axis_values=(2, 4))
+        with pytest.raises(RuntimeError, match="pool started"):
+            run_sweep(spec)
+        assert started == [2]
 
     def test_explicit_argument_wins(self, monkeypatch):
         monkeypatch.setenv("FDDJAM_WORKERS", "3")

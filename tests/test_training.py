@@ -17,7 +17,7 @@ from fddjam.experiments import (
     config_for_point,
     figure_spec,
 )
-from fddjam.jammer import _eigen_jamming_term, optimal_jamming, single_shot_jamming
+from fddjam.jammer import optimal_jamming, single_shot_jamming
 from fddjam.linalg import _real_times, haar_orthonormal_columns
 from fddjam.tolerances import HERMITIAN_ATOL
 from fddjam.training import (
@@ -26,7 +26,7 @@ from fddjam.training import (
     TrainingConfig,
     UnitaryBlock,
     _closed_form,
-    _eigen_pilot_terms,
+    _eigen_system,
     _MC_CHUNK,
     _jamming_term,
     _mmse_filter,
@@ -298,20 +298,17 @@ class TestStackedJamming:
         zs = haar_orthonormal_columns(N, L, np.random.default_rng(n), n)
         return _pilot_terms(optimal_pilots(cov, L), cov, cfg), zs, jcov, cfg
 
+    @pytest.mark.parametrize("mode", ESTIMATOR_MODES)
     @pytest.mark.parametrize("L", [1, 3, 6])
-    def test_each_value_is_its_term_alone(self, L):
+    def test_each_value_is_its_term_alone(self, L, mode):
         terms, zs, jcov, cfg = self.inputs(L=L)
         jams = _jamming_term(zs, _real_times(jcov.matrix, zs), cfg)
         assert jams.shape == (len(zs), L, L)
         for z, jam in zip(zs, jams):
             assert np.array_equal(jam, _jamming_term(z, _real_times(jcov.matrix, z), cfg))
-        values = _closed_form(terms, jams, jammer_aware=True)
-        assert values == [_closed_form(terms, jam, jammer_aware=True) for jam in jams]
-
-    def test_unaware_stack_is_rejected(self):
-        terms, zs, jcov, cfg = self.inputs()
-        with pytest.raises(ValueError, match="jammer-aware"):
-            _closed_form(terms, _jamming_term(zs, _real_times(jcov.matrix, zs), cfg), False)
+        aware = mode == "jammer-aware"
+        values = _closed_form(terms, jams, aware)
+        assert values == [_closed_form(terms, jam, aware) for jam in jams]
 
 
 def random_covariance(size, rng, general):
@@ -397,10 +394,7 @@ class TestEigenInputs:
         mode=st.sampled_from(ESTIMATOR_MODES),
     )
     def test_match_block_inputs_and_oracle(self, cfg, pilot, jamming, mode):
-        eigen = _closed_form(
-            _eigen_pilot_terms(pilot, cfg), _eigen_jamming_term(jamming, cfg),
-            mode == "jammer-aware",
-        )
+        eigen = _closed_form(*_eigen_system(pilot, jamming, cfg), mode == "jammer-aware")
         cov, jcov = _covariances(cfg)
         length = cfg.pilot_length
         pilots = (optimal_pilots if pilot == "optimal" else worst_case_pilots)(cov, length)
@@ -422,7 +416,7 @@ class TestEigenInputs:
     def test_unit_correlation_spectrum_gives_singular_noiseless_system(self):
         cfg = make_cfg(M=4, N=4, L=2, nv=0.0, r=1.0)
         with pytest.warns(RuntimeWarning, match="rank-one"):
-            terms = _eigen_pilot_terms("optimal", cfg)
+            terms, _ = _eigen_system("optimal", "silent", cfg)
         with pytest.raises(np.linalg.LinAlgError):
             _closed_form(terms, None, jammer_aware=True)
 
@@ -460,8 +454,7 @@ class TestSingleShotRows:
         points = list(single_shot_figure_points())
         assert len(points) == 76
         for cfg, scenario in points:
-            k, g, trace_c, m = _eigen_pilot_terms(scenario.pilot_design, cfg)
-            jam = _eigen_jamming_term(scenario.jamming, cfg)
+            (k, g, trace_c, m), jam = _eigen_system(scenario.pilot_design, scenario.jamming, cfg)
             aware = mode == "jammer-aware"
             by_vector = _closed_form((k, g, trace_c, m), jam, aware)
             by_matrix = _closed_form((k, np.diag(g), trace_c, m), jam, aware)
