@@ -478,7 +478,9 @@ _REQUIRED_KEYS = _SCALAR_REQUIRED | {"sweep_axis", "axis_values", "scenarios"}
 _OPTIONAL_KEYS = (
     _SCALAR_OPTIONAL | set(_AXIS_FIELDS.values()) | {"monte_carlo_trials", "seed"}
 )
-_SCENARIO_KEYS = frozenset({"pilot_design", "jamming", "estimator_mode"})
+_SCENARIO_REQUIRED = frozenset({"pilot_design", "jamming"})
+_SCENARIO_OPTIONAL = frozenset({"estimator_mode"})
+_SCENARIO_KEYS = _SCENARIO_REQUIRED | _SCENARIO_OPTIONAL
 
 
 def spec_to_dict(spec: ExperimentSpec) -> dict:
@@ -493,16 +495,16 @@ def spec_to_dict(spec: ExperimentSpec) -> dict:
     }
 
 
-def _check_keys(data, required: frozenset, optional: frozenset) -> None:
-    """Reject a config that is not an object, has unknown keys or misses some."""
+def _check_keys(data, required: frozenset, optional: frozenset, name: str = "config") -> None:
+    """Reject a ``name`` that is not an object, has unknown keys or misses some."""
     if not isinstance(data, dict):
-        raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
+        raise ConfigError(f"{name} must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - required - optional
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     missing = required - set(data)
     if missing:
-        raise ConfigError(f"missing config keys: {sorted(missing)}")
+        raise ConfigError(f"missing {name} keys: {sorted(missing)}")
 
 
 def _training_config_from_dict(data: dict) -> TrainingConfig:
@@ -536,15 +538,7 @@ def spec_from_dict(data: dict) -> ExperimentSpec:
     if not isinstance(raw_scenarios, (list, tuple)) or not raw_scenarios:
         raise ConfigError("scenarios must be a non-empty list of objects")
     for entry in raw_scenarios:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"scenarios must contain objects, got {entry!r}")
-        bad = set(entry) - _SCENARIO_KEYS
-        if bad:
-            raise ConfigError(f"unknown scenario keys: {sorted(bad)}")
-        if "pilot_design" not in entry or "jamming" not in entry:
-            raise ConfigError(
-                f"scenario needs 'pilot_design' and 'jamming' keys, got {sorted(entry)}"
-            )
+        _check_keys(entry, _SCENARIO_REQUIRED, _SCENARIO_OPTIONAL, "scenarios entry")
         scenarios.append(Scenario(**entry))
 
     swept = _axis_field(sweep_axis)

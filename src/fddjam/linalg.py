@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .tolerances import HERMITIAN_ATOL, ORTHONORMAL_TOL
+from .tolerances import ORTHONORMAL_TOL
 
 __all__ = [
     "haar_orthonormal_columns",
@@ -63,16 +63,14 @@ def _real(value, name: str, low: float, high: float) -> float:
     raise ValueError(f"{name} must be a real number in [{low:g}, {high:g}], got {value!r}")
 
 
-def _finite_matrix(a, name: str, stack: bool = False) -> np.ndarray:
+def _finite_matrix(a, name: str) -> np.ndarray:
     """A C-ordered copy of ``a`` as a 2-d array, rejecting non-finite entries.
 
-    A complex ``a`` is copied as complex128, any other as float64. With
-    ``stack``, a 3-d array (a stack of matrices) is accepted too.
+    A complex ``a`` is copied as complex128, any other as float64.
     """
     arr = np.array(a, dtype=np.complex128 if np.iscomplexobj(a) else np.float64, order="C")
-    if arr.ndim != 2 and not (stack and arr.ndim == 3):
-        kind = "two-dimensional or a stack of matrices" if stack else "two-dimensional"
-        raise ValueError(f"{name} must be {kind}, got shape {arr.shape}")
+    if arr.ndim != 2:
+        raise ValueError(f"{name} must be two-dimensional, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -104,44 +102,30 @@ def require_orthonormal_columns(matrix: np.ndarray, *, name: str = "matrix") -> 
         raise ValueError(f"{name} columns are not orthonormal (defect {defect:.3e})")
 
 
-def solve_hpd(a, b) -> np.ndarray:
-    """Solve ``a @ x = b`` for Hermitian positive-definite ``a``.
+def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` for the training system of ``training._filter``.
 
-    A Cholesky factorization checks positive definiteness; the solve itself
-    is numpy's LU solve, which never forms the inverse explicitly. ``b`` may
-    be a vector or a matrix of right-hand sides.
+    Its one caller passes an exactly Hermitian float64 or complex128 ``a``
+    and ``b = Gᴴ``, whose rows match. Checked here: ``a`` is finite (numpy's
+    Cholesky factors an infinite diagonal without an error) and, by a
+    Cholesky factorization, positive definite. The solve is numpy's LU
+    solve, which never forms the inverse.
 
-    ``a`` may also be an ``(n, L, L)`` stack of matrices sharing one ``b``;
-    ``x`` then has a leading axis of ``n``, and each of its entries has the
-    bits of the solve of that matrix alone. One matrix of the stack that
-    fails a check fails the whole call.
+    ``a`` may be an ``(n, L, L)`` stack sharing one ``b``; each entry of
+    ``x`` then has the bits of that matrix's solve alone, and one matrix
+    that fails a check fails the call. Float64 ``a`` and ``b`` give a real
+    solve and a float64 ``x``; otherwise it is complex128.
 
-    A float64 ``a`` is factored in float64; with a float64 ``b`` too, the
-    solve is real and gives a float64 ``x``. If either is complex, the
-    solve is complex128.
-
-    Raises
-    ------
-    numpy.linalg.LinAlgError
-        If the factorization fails, i.e. ``a`` is not positive definite.
-    ValueError
-        On shape mismatch, non-finite entries or non-Hermitian ``a``.
+    Raises ``numpy.linalg.LinAlgError`` if ``a`` is not positive definite
+    and ``ValueError`` if it has non-finite entries.
     """
-    a, rhs = _finite_matrix(a, "lhs", stack=True), np.asarray(b)
-    if a.shape[-2] != a.shape[-1]:
-        raise ValueError(f"lhs must be square, got shape {a.shape}")
-    asymmetry = float(np.max(np.abs(a - a.conj().mT))) if a.size else 0.0
-    if asymmetry > HERMITIAN_ATOL:
-        raise ValueError(f"lhs is not Hermitian (max asymmetry {asymmetry:.3e})")
-    if rhs.ndim not in (1, 2) or rhs.shape[0] != a.shape[-1]:
-        raise ValueError(f"rhs shape {rhs.shape} does not match lhs shape {a.shape}")
-    if not np.all(np.isfinite(rhs)):
-        raise ValueError("rhs contains non-finite entries")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("lhs contains non-finite entries")
     try:
         np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise np.linalg.LinAlgError("matrix is not positive definite") from exc
-    return np.linalg.solve(a, rhs)
+    return np.linalg.solve(a, b)
 
 
 def _complex_normals(rng: np.random.Generator, shape: tuple, scale: float) -> np.ndarray:

@@ -98,8 +98,9 @@ class TrainingConfig:
 
     Powers are given in dB relative to the noise variance: the linear powers
     are ``noise_variance * 10 ** (db / 10)``, and ``-inf`` dB switches the
-    jammer off. The BS power must be positive, and ``noise_variance /
-    bs_power`` and ``num_jammer_antennas * jammer_power / bs_power`` finite.
+    jammer off. The BS power must be positive, and twice ``num_bs_antennas +
+    (noise_variance + num_jammer_antennas * jammer_power) / bs_power``, the
+    bound on an entry of the scaled training system, finite.
     ``noise_variance = 0`` is accepted as a noiseless testing mode; the dB
     values are then read against a unit reference instead.
     ``jammer_power_db`` and ``jammer_correlation`` default to ``bs_power_db``
@@ -141,12 +142,17 @@ class TrainingConfig:
                 raise ValueError(
                     f"{field} must be a number whose linear power is finite, got {value!r}"
                 )
-        # the training system is scaled by 1 / bs_power; no term may overflow
+        # The training system is scaled by 1 / bs_power, and _hermitian_part adds
+        # it to its transpose, so twice its largest entry must be finite: at most
+        # M + noise_variance / bs_power, plus N * jammer_power / bs_power jamming.
         bs_power = self.bs_power
-        if not bs_power > 0 or not math.isfinite(self.noise_variance / bs_power):
+        top = math.inf if not bs_power > 0 else (
+            self.num_bs_antennas + self.noise_variance / bs_power)
+        if not math.isfinite(2 * top):
             raise ValueError(f"bs_power_db {self.bs_power_db!r} leaves no finite "
                              "noise_variance / bs_power")
-        if not math.isfinite(self.num_jammer_antennas * (self.jammer_power / bs_power)):
+        jamming = self.num_jammer_antennas * (self.jammer_power / bs_power)
+        if not math.isfinite(2 * (top + jamming)):
             raise ValueError(f"jammer_power_db {self.jammer_power_db!r} over bs_power_db "
                              f"{self.bs_power_db!r} overflows the jamming term")
 

@@ -67,9 +67,13 @@ def blas_counts_of_point(spec, axis_index):
 
 
 @st.composite
-def valid_specs(draw, correlation=st.floats(0.0, 1.0), noise=st.floats(0.0, 10.0),
-                trials=st.integers(0, 10**6)):
-    """Random feasible specs on either axis, every scenario kind mixed in."""
+def valid_specs(draw, correlation=st.floats(0.0, 1.0),
+                noise=st.floats(0.0, 10.0, allow_subnormal=False), trials=st.integers(0, 10**6)):
+    """Random feasible specs on either axis, every scenario kind mixed in.
+
+    A subnormal noise variance at a negative power in dB rounds the BS power
+    to 0, which is infeasible (see ``test_bs_power_that_rounds_to_zero_is_rejected``).
+    """
     axis = draw(st.sampled_from(SWEEP_AXES))
     values = sorted(draw(st.lists(st.integers(1, 24), min_size=1, max_size=4, unique=True)))
     if axis == "pilot_length":
@@ -547,6 +551,12 @@ class TestConfigSchema:
     @given(spec=valid_specs())
     def test_json_round_trip_of_random_specs(self, spec):
         assert spec_from_dict(json.loads(json.dumps(spec_to_dict(spec)))) == spec
+
+    def test_bs_power_that_rounds_to_zero_is_rejected(self):
+        # 5e-324 * 10 ** -0.4 rounds to 0: no BS power
+        with pytest.raises(ValueError, match="bs_power_db"):
+            TrainingConfig(num_bs_antennas=1, num_jammer_antennas=1, pilot_length=1,
+                           bs_power_db=-4.0, jammer_power_db=0.0, noise_variance=5e-324)
 
     def test_defaults(self):
         spec = spec_from_dict(self.base_dict())

@@ -10,6 +10,7 @@ BS value), a list, NaN and a complex are no real numbers.
 
 import math
 import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -17,8 +18,9 @@ import pytest
 
 from fddjam.channel import exponential_covariance, exponential_spectrum
 from fddjam.cli import main
-from fddjam.experiments import ConfigError
+from fddjam.experiments import JAMMING_CHOICES, ConfigError
 from fddjam.linalg import _real
+from fddjam.training import ESTIMATOR_MODES, PILOT_DESIGNS
 from test_counts import cli_exit, sweep_config, training_config, verify_lemma_config
 
 REAL_FIELDS = ("noise_variance", "bs_correlation", "jammer_correlation",
@@ -132,6 +134,35 @@ def test_mse_power_pair_that_overflows_exits_2(capsys, pb, pj, keys, jamming):
     powers = [f"--pb-db={pb}"] + ([] if pj is None else [f"--pj-db={pj}"])
     code, err = cli_exit(capsys, [*MSE[:-2], *powers, "--jamming", jamming])
     assert code == 2
+    assert all(key in err for key in keys)
+
+
+# Powers at the edge of the scaled training system of --M 2 --N 2 --L 1:
+# twice its largest entry, which _hermitian_part forms, overflows at
+# --pb-db=-3080, or with --pj-db=78 over --pb-db=-3000; -3077 and 76 still
+# fit. (bs_power_db, jammer_power_db, exit code, keys the error names)
+EDGE_PROBES = [
+    pytest.param(-3080.0, None, 2, ("bs_power_db",), id="noise-overflows"),
+    pytest.param(-3000.0, 78.0, 2, ("jammer_power_db", "bs_power_db"), id="jamming-overflows"),
+    pytest.param(-3077.0, None, 0, (), id="noise-fits"),
+    pytest.param(-3000.0, 76.0, 0, (), id="jamming-fits"),
+]
+
+
+@pytest.mark.parametrize("trials", ["0", "10"])
+@pytest.mark.parametrize("estimator", ESTIMATOR_MODES)
+@pytest.mark.parametrize("jamming", JAMMING_CHOICES)
+@pytest.mark.parametrize("pilot", PILOT_DESIGNS)
+@pytest.mark.parametrize(("pb", "pj", "want", "keys"), EDGE_PROBES)
+def test_mse_at_the_scaled_system_edge(capsys, pb, pj, want, keys, pilot, jamming, estimator,
+                                       trials):
+    powers = [f"--pb-db={pb}"] + ([] if pj is None else [f"--pj-db={pj}"])
+    argv = ["mse", "--M", "2", "--N", "2", "--L", "1", "--r", "0.5", *powers, "--pilot", pilot,
+            "--jamming", jamming, "--estimator", estimator, "--trials", trials]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, err = cli_exit(capsys, argv)
+    assert (code, caught) == (want, [])
     assert all(key in err for key in keys)
 
 

@@ -17,7 +17,7 @@ from fddjam.experiments import (
     config_for_point,
     figure_spec,
 )
-from fddjam.jammer import optimal_jamming, single_shot_jamming
+from fddjam.jammer import _LEMMA_STACK, optimal_jamming, single_shot_jamming, verify_lemma
 from fddjam.linalg import _real_times, haar_orthonormal_columns
 from fddjam.tolerances import HERMITIAN_ATOL
 from fddjam.training import (
@@ -465,6 +465,35 @@ class TestSingleShotRows:
         cfg, scenario = next(single_shot_figure_points())
         row_mse(cfg, scenario.pilot_design, scenario.jamming)
         assert dtypes == [(np.float64,) * 3]
+
+
+class TestTrainingSystem:
+    """``solve_hpd`` checks no symmetry: every system it is given is exactly Hermitian."""
+
+    def test_every_lhs_is_finite_and_exactly_hermitian(self, monkeypatch):
+        systems, solve = [], fddjam.training.solve_hpd
+
+        def spy(a, b):
+            systems.append(a)
+            return solve(a, b)
+
+        monkeypatch.setattr(fddjam.training, "solve_hpd", spy)
+        # the 18 rows of tests/data/mse-18.txt
+        cfg = make_cfg(M=16, N=16, L=4, pb=5.0, pj=5.0, r=0.7)
+        for pilot in PILOT_DESIGNS:
+            for jamming in JAMMING_CHOICES:
+                for mode in ESTIMATOR_MODES:
+                    _evaluate_scenario(
+                        cfg, Scenario(pilot, jamming, mode), 500, np.random.SeedSequence(3), 4
+                    )
+        bs_cov, jam_cov = _covariances(cfg)
+        pilots = random_unitary_pilots(16, 4, np.random.default_rng(1))
+        verify_lemma(bs_cov, jam_cov, pilots, cfg, 2 * _LEMMA_STACK + 1, np.random.default_rng(2))
+        # the eigen-optimal block, then two whole Haar stacks and one of one
+        assert [len(a) for a in systems if a.ndim == 3] == [1, _LEMMA_STACK, _LEMMA_STACK, 1]
+        for a in systems:
+            assert np.all(np.isfinite(a))
+            assert np.array_equal(a, a.conj().swapaxes(-2, -1))
 
 
 def real_and_complex(cfg, pilot, jamming):
