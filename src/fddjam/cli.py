@@ -24,7 +24,7 @@ from .experiments import (
     Scenario,
     _build_pilots,
     _covariances,
-    _evaluate_scenario,
+    _evaluate_point,
     _lemma_from_dict,
     _load_object,
     figure_spec,
@@ -146,9 +146,9 @@ def _cmd_mse(args) -> int:
     )
     trials = _count(args.trials, "--trials")
     seed = _count(args.seed, "--seed")
-    row = _evaluate_scenario(
+    [row] = _evaluate_point(
         cfg,
-        Scenario(args.pilot, args.jamming, args.estimator),
+        (Scenario(args.pilot, args.jamming, args.estimator),),
         trials,
         np.random.SeedSequence(seed),
         cfg.pilot_length,

@@ -33,7 +33,8 @@ from .training import (
     UnitaryBlock,
     _closed_form,
     _eigen_system,
-    empirical_mse,
+    _monte_carlo,
+    _trial_gains,
     optimal_pilots,
     random_unitary_pilots,
     scenario_closed_form_mse,
@@ -228,32 +229,31 @@ def _covariances(cfg: TrainingConfig) -> tuple[ChannelCovariance, ChannelCovaria
     )
 
 
-def _needs_blocks(scenario: Scenario, trials: int) -> bool:
-    """Whether a point builds covariances and eigenvector blocks, which is
-    what makes it cost more than a spectrum lookup: random pilots or
+def _draws(scenarios, trials: int) -> bool:
+    """Whether an axis value with these scenarios draws random numbers, which
+    is also what makes it cost more than spectrum lookups: random pilots or
     Monte-Carlo trials."""
-    return scenario.pilot_design == "random-unitary" or trials > 0
+    return trials > 0 or any(s.pilot_design == "random-unitary" for s in scenarios)
 
 
 def _evaluate_scenario(
     cfg: TrainingConfig,
     scenario: Scenario,
     trials: int,
-    seed: np.random.SeedSequence | None,
-    axis_value: int,
-) -> ResultRow:
-    """Closed-form MSE of one scenario, plus its Monte-Carlo estimate when
-    ``trials > 0``.
+    covariances: tuple[ChannelCovariance, ChannelCovariance] | None,
+    generator: np.random.Generator | None,
+) -> tuple[float, tuple | None]:
+    """``(closed-form MSE, trial gains or None)`` of one scenario.
 
     Optimal and worst-case pilots take the closed form from the covariance
-    spectra alone. Random pilots and then the trials draw from a generator
-    seeded with ``seed``, which may be None for a point that draws nothing
-    (see ``_needs_blocks``).
+    spectra alone. Random pilots draw from ``generator``. With ``trials >
+    0`` the pilot and jamming blocks also give the scenario's Monte-Carlo
+    gains (``training._trial_gains``). ``covariances`` and ``generator``
+    are None at an axis value that draws nothing (see ``_draws``).
     """
     random_pilots = scenario.pilot_design == "random-unitary"
-    if _needs_blocks(scenario, trials):
-        bs_cov, jam_cov = _covariances(cfg)
-        generator = np.random.default_rng(seed)
+    if random_pilots or trials > 0:
+        bs_cov, jam_cov = covariances
         pilots = _build_pilots(scenario.pilot_design, bs_cov, cfg.pilot_length, generator)
         jamming = _build_jamming(scenario.jamming, jam_cov, cfg)
     if random_pilots:
@@ -265,67 +265,93 @@ def _evaluate_scenario(
             *_eigen_system(scenario.pilot_design, scenario.jamming, cfg),
             scenario.estimator_mode == "jammer-aware",
         )
-    mse_mc = std_err = None
+    gains = None
     if trials > 0:
-        mc = empirical_mse(
-            pilots, jamming, bs_cov, jam_cov, cfg,
-            trials=trials, rng=generator, estimator_mode=scenario.estimator_mode,
-        )
-        mse_mc, std_err = mc.mean, mc.std_error
-    return ResultRow(
-        axis_value=axis_value,
-        pilot_design=scenario.pilot_design,
-        jamming=scenario.jamming,
-        estimator_mode=scenario.estimator_mode,
-        closed_form_mse=closed,
-        empirical_mse=mse_mc,
-        empirical_std_err=std_err,
-    )
+        gains = _trial_gains(pilots, jamming, bs_cov, jam_cov, cfg, scenario.estimator_mode)
+    return closed, gains
 
 
-def _evaluate_axis_value(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
-    """Rows of one axis value; a failing point re-raises its exception
-    with the axis value and the scenario at the front of the message."""
-    value = spec.axis_values[axis_index]
-    cfg = config_for_point(spec.base, spec.sweep_axis, value)
-    first_point = axis_index * len(spec.scenarios)
-    rows = []
-    for scenario_index, scenario in enumerate(spec.scenarios):
-        # One derived stream per (axis value, scenario) point: results cannot
-        # depend on scheduling order or on the parallelism degree. Points that
-        # draw nothing get no stream; the others keep their index.
-        seed = None
-        if _needs_blocks(scenario, spec.monte_carlo_trials):
-            seed = np.random.SeedSequence(
-                spec.seed, spawn_key=(first_point + scenario_index,)
-            )
+def _evaluate_point(
+    cfg: TrainingConfig,
+    scenarios,
+    trials: int,
+    seed: np.random.SeedSequence | None,
+    axis_value: int,
+) -> list[ResultRow]:
+    """Rows of scenarios that share one training configuration.
+
+    One generator, seeded with ``seed`` (None when nothing draws), first
+    draws the random pilots of each scenario in turn, then spawns the trial
+    chunks, whose draws every scenario shares (``training._monte_carlo``).
+    A failing scenario re-raises its exception with the axis value and the
+    scenario at the front of the message.
+    """
+    covariances = generator = None
+    if _draws(scenarios, trials):
+        covariances = _covariances(cfg)
+        generator = np.random.default_rng(seed)
+    rows, gains = [], []
+    for scenario in scenarios:
         try:
-            rows.append(
-                _evaluate_scenario(cfg, scenario, spec.monte_carlo_trials, seed, value)
+            closed, scenario_gains = _evaluate_scenario(
+                cfg, scenario, trials, covariances, generator
             )
         except (ArithmeticError, ValueError) as exc:
             # same type and args shape, so it still pickles out of a worker
             exc.args = (
-                f"axis value {value}, scenario {scenario.pilot_design}/"
+                f"axis value {axis_value}, scenario {scenario.pilot_design}/"
                 f"{scenario.jamming}/{scenario.estimator_mode}: {exc}",
             )
             raise
+        rows.append(ResultRow(axis_value, scenario.pilot_design, scenario.jamming,
+                              scenario.estimator_mode, closed))
+        gains.append(scenario_gains)
+    if trials > 0:
+        mc = _monte_carlo(gains, covariances[0], cfg, trials, generator)
+        rows = [
+            dataclasses.replace(row, empirical_mse=result.mean, empirical_std_err=result.std_error)
+            for row, result in zip(rows, mc)
+        ]
     return rows
+
+
+def _evaluate_axis_value(spec: ExperimentSpec, axis_index: int) -> list[ResultRow]:
+    """Rows of one axis value, in scenario order.
+
+    An axis value that draws random numbers gets one stream derived from the
+    spec seed and its index, so results cannot depend on scheduling order or
+    on the parallelism degree; one that draws nothing gets no stream.
+    """
+    value = spec.axis_values[axis_index]
+    cfg = config_for_point(spec.base, spec.sweep_axis, value)
+    seed = None
+    if _draws(spec.scenarios, spec.monte_carlo_trials):
+        seed = np.random.SeedSequence(spec.seed, spawn_key=(axis_index,))
+    return _evaluate_point(cfg, spec.scenarios, spec.monte_carlo_trials, seed, value)
 
 
 def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[ResultRow]:
     """Evaluate every (axis value, scenario) point of an experiment.
 
     Rows come back ordered by (axis value, scenario index), one row per
-    point. Each point consumes a random stream derived from the spec seed
-    and the point's index, so the output is identical regardless of the
-    parallelism degree.
+    point. Each axis value that draws random numbers consumes one stream
+    derived from the spec seed and the axis value's index, so the output is
+    identical regardless of the parallelism degree.
 
-    Only a sweep whose points build eigenvector blocks, that is one with
-    Monte-Carlo trials or random pilots, uses worker processes: its axis
-    values may be evaluated across a process pool of ``workers`` (argument,
-    else the FDDJAM_WORKERS environment variable, else the machine core
-    count), at most one per axis value. Any other sweep reads only cached
+    The scenarios of an axis value share its Monte-Carlo draws (common
+    random numbers): every scenario sees the same channel, jammer-channel
+    and noise realizations. Its rows are therefore correlated. Differences
+    between scenarios typically carry less noise than independent draws give,
+    while each row's mean and standard error keep their distribution. A
+    silent row's draws also depend on whether its sweep has a jamming
+    scenario, whose jammer-channel draw comes between the channel and the
+    noise.
+
+    Only a sweep that draws random numbers, that is one with Monte-Carlo
+    trials or random pilots, uses worker processes: its axis values may be
+    evaluated across a process pool of ``workers`` (argument, else the
+    FDDJAM_WORKERS environment variable, else the machine core count), at
+    most one per axis value. Any other sweep reads only cached
     covariance spectra and runs serially in the calling process; for the
     built-in figures that takes less time than starting the pool.
 
@@ -338,9 +364,7 @@ def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[Resul
     n = len(spec.axis_values)
     workers = min(resolve_workers(workers), n)
     with _single_blas_thread():
-        if workers > 1 and any(
-            _needs_blocks(scenario, spec.monte_carlo_trials) for scenario in spec.scenarios
-        ):
+        if workers > 1 and _draws(spec.scenarios, spec.monte_carlo_trials):
             with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
                 chunks = list(pool.map(_evaluate_axis_value, [spec] * n, range(n)))
         else:

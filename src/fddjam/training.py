@@ -146,11 +146,14 @@ class TrainingConfig:
         # it to its transpose, so twice its largest entry must be finite: at most
         # M + noise_variance / bs_power, plus N * jammer_power / bs_power jamming.
         bs_power = self.bs_power
-        top = math.inf if not bs_power > 0 else (
-            self.num_bs_antennas + self.noise_variance / bs_power)
-        if not math.isfinite(2 * top):
+        ratio = math.inf if not bs_power > 0 else self.noise_variance / bs_power
+        if not math.isfinite(ratio):
             raise ValueError(f"bs_power_db {self.bs_power_db!r} leaves no finite "
                              "noise_variance / bs_power")
+        top = self.num_bs_antennas + ratio
+        if not math.isfinite(2 * top):
+            raise ValueError(f"bs_power_db {self.bs_power_db!r} overflows twice "
+                             "num_bs_antennas + noise_variance / bs_power")
         jamming = self.num_jammer_antennas * (self.jammer_power / bs_power)
         if not math.isfinite(2 * (top + jamming)):
             raise ValueError(f"jammer_power_db {self.jammer_power_db!r} over bs_power_db "
@@ -475,6 +478,82 @@ def _planes_times(gain: np.ndarray, x: np.ndarray) -> np.ndarray:
     return (block @ x.reshape(2 * x.shape[1], -1)).reshape(2, gain.shape[0], -1)
 
 
+def _scales(cov: ChannelCovariance) -> np.ndarray:
+    """``sqrt(1/2)·Λ^(1/2)`` of ``C = UΛUᴴ``, round-off negative eigenvalues taken as 0."""
+    return np.sqrt(0.5) * np.sqrt(np.clip(cov.eigenvalues, 0.0, None))
+
+
+def _trial_gains(
+    pilots: UnitaryBlock,
+    jamming: UnitaryBlock | None,
+    bs_cov: ChannelCovariance,
+    jam_cov: ChannelCovariance | None,
+    cfg: TrainingConfig,
+    estimator_mode: str,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """``(B, B_j, W)`` of one scenario's Monte-Carlo trial (see ``empirical_mse``).
+
+    ``B = sqrt(L·P_b)·PᴴU·diag(s)`` takes the channel planes ``e`` into the
+    received block, ``B_j`` (None for a silent jammer) the jammer's, and
+    ``W = UᴴA`` is the MMSE filter ``A`` in the eigenbasis of ``C = UΛUᴴ``.
+    """
+    a = _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
+    length = pilots.length
+    bs_gain = np.sqrt(length * cfg.bs_power) * (
+        pilots.matrix.conj().T @ bs_cov.eigenvectors
+    ) * _scales(bs_cov)
+    jam_gain = None
+    if jamming is not None:
+        jam_gain = np.sqrt(length * cfg.jammer_power) * (
+            jamming.matrix.conj().T @ jam_cov.eigenvectors
+        ) * _scales(jam_cov)
+    return bs_gain, jam_gain, bs_cov.eigenvectors.conj().T @ a
+
+
+def _monte_carlo(
+    gains, bs_cov: ChannelCovariance, cfg: TrainingConfig, trials: int,
+    rng: np.random.Generator,
+) -> list[MonteCarloMse]:
+    """Monte-Carlo MSEs of scenarios that share ``cfg`` and one set of draws.
+
+    ``gains`` holds one ``_trial_gains`` triple per scenario. Each chunk of
+    ``_MC_CHUNK`` trials, from its own stream spawned off ``rng``, draws
+    the planes ``e``, then ``g`` when some scenario jams, then ``n``, once;
+    each scenario then forms its own ``y = B e + B_j g + σn`` and error
+    ``s·e - W y`` from them.
+    """
+    m = cfg.num_bs_antennas
+    s = _scales(bs_cov)
+    noise_scale = np.sqrt(cfg.noise_variance * 0.5)
+    jams = any(jam_gain is not None for _, jam_gain, _ in gains)
+    per_trial = np.empty((len(gains), trials))
+    n_chunks = -(-trials // _MC_CHUNK)
+    start = 0
+    for stream in rng.spawn(n_chunks):
+        k = min(_MC_CHUNK, trials - start)
+        e = stream.standard_normal((2, m, k))
+        g = stream.standard_normal((2, cfg.num_jammer_antennas, k)) if jams else None
+        noise = stream.standard_normal((2, cfg.pilot_length, k))
+        noise *= noise_scale
+        for row, (bs_gain, jam_gain, w) in zip(per_trial, gains):
+            y = _planes_times(bs_gain, e)
+            if jam_gain is not None:
+                y += _planes_times(jam_gain, g)
+            y += noise
+            err = _planes_times(w, y)
+            err -= s[:, None] * e
+            row[start : start + k] = np.einsum("ijk,ijk->k", err, err) / m
+        start += k
+    return [
+        MonteCarloMse(
+            mean=float(row.mean()),
+            std_error=float(row.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
+            trials=trials,
+        )
+        for row in per_trial
+    ]
+
+
 def empirical_mse(
     pilots: UnitaryBlock,
     jamming: UnitaryBlock | None,
@@ -501,40 +580,17 @@ def empirical_mse(
     channel likewise. With the filter ``A``, the error is measured as
     ``s·e - UᴴAy``, whose norm is that of ``h - Ay`` because ``U`` is
     unitary. Every product with a float64 matrix is real (``_planes_times``).
+
+    This is the loop a sweep runs for all scenarios of one axis value at
+    once (``_monte_carlo``), with one scenario: each chunk draws ``e``, then
+    ``g`` if the jammer transmits, then the noise. In a sweep, the scenarios
+    of an axis value share those draws (common random numbers), so their
+    rows are correlated: differences between scenarios typically carry less
+    noise, while each row's mean and standard error keep their
+    distribution. A silent scenario's draws then also depend on whether
+    another scenario of its axis value jams, which adds the ``g`` draw
+    between ``e`` and the noise.
     """
     trials = _count(trials, "trials", 1)
-    a = _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
-    length = pilots.length
-    m = cfg.num_bs_antennas
-
-    def scales(cov: ChannelCovariance) -> np.ndarray:
-        # sqrt(1/2)·Λ^(1/2), round-off negative eigenvalues taken as 0
-        return np.sqrt(0.5) * np.sqrt(np.clip(cov.eigenvalues, 0.0, None))
-
-    s = scales(bs_cov)
-    bs_gain = np.sqrt(length * cfg.bs_power) * (pilots.matrix.conj().T @ bs_cov.eigenvectors) * s
-    jam_gain = None
-    if jamming is not None:
-        jam_gain = np.sqrt(length * cfg.jammer_power) * (
-            jamming.matrix.conj().T @ jam_cov.eigenvectors
-        ) * scales(jam_cov)
-    w = bs_cov.eigenvectors.conj().T @ a
-    noise_scale = np.sqrt(cfg.noise_variance * 0.5)
-
-    per_trial = np.empty(trials)
-    n_chunks = -(-trials // _MC_CHUNK)
-    start = 0
-    for stream in rng.spawn(n_chunks):
-        k = min(_MC_CHUNK, trials - start)
-        e = stream.standard_normal((2, m, k))
-        y = _planes_times(bs_gain, e)
-        if jam_gain is not None:
-            y += _planes_times(jam_gain, stream.standard_normal((2, jam_gain.shape[1], k)))
-        y += noise_scale * stream.standard_normal((2, length, k))
-        err = _planes_times(w, y)
-        err -= s[:, None] * e
-        per_trial[start : start + k] = np.einsum("ijk,ijk->k", err, err) / m
-        start += k
-    mean = float(per_trial.mean())
-    std_error = float(per_trial.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return MonteCarloMse(mean=mean, std_error=std_error, trials=trials)
+    gains = _trial_gains(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
+    return _monte_carlo([gains], bs_cov, cfg, trials, rng)[0]

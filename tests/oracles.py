@@ -6,7 +6,9 @@ formulas solve through scipy's Cholesky routines, not the library's numpy
 solve. The one-candidate-at-a-time lemma loop is the exception: it is a
 bit-for-bit reference, so it keeps the single-matrix closed form. The
 complex-vector Monte-Carlo trial at the end is a round-off reference for
-the whitened real one, with the same filter.
+the whitened real one, with the same filter. The shared-draws sweep loop
+at the very end is a bit-for-bit reference too: it runs each scenario's
+trial on its own, on draws made once for all scenarios.
 """
 
 import math
@@ -14,7 +16,8 @@ import math
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from fddjam.jammer import LemmaVerdict, optimal_jamming
+from fddjam.channel import exponential_covariance
+from fddjam.jammer import LemmaVerdict, optimal_jamming, single_shot_jamming
 from fddjam.linalg import _count, _real_times
 from fddjam.tolerances import KY_FAN_SLACK, PSD_EIG_FLOOR
 from fddjam.training import (
@@ -25,6 +28,10 @@ from fddjam.training import (
     _jamming_term,
     _mmse_filter,
     _pilot_terms,
+    _planes_times,
+    optimal_pilots,
+    random_unitary_pilots,
+    worst_case_pilots,
 )
 
 
@@ -258,3 +265,68 @@ def empirical_mse_direct(pilots, jamming, bs_cov, jam_cov, cfg, *, trials, rng,
         start += k
     std_error = float(per_trial.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
     return MonteCarloMse(mean=float(per_trial.mean()), std_error=std_error, trials=trials)
+
+
+def whitened_trials(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode, e, g, n):
+    """Per-trial squared errors of one scenario on the given normal planes,
+    with ``training.empirical_mse``'s arithmetic, written out for one
+    scenario."""
+    a = _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
+    length = pilots.length
+
+    def scales(cov):
+        return np.sqrt(0.5) * np.sqrt(np.clip(cov.eigenvalues, 0.0, None))
+
+    s = scales(bs_cov)
+    bs_gain = np.sqrt(length * cfg.bs_power) * (pilots.matrix.conj().T @ bs_cov.eigenvectors) * s
+    y = _planes_times(bs_gain, e)
+    if jamming is not None:
+        jam_gain = np.sqrt(length * cfg.jammer_power) * (
+            jamming.matrix.conj().T @ jam_cov.eigenvectors
+        ) * scales(jam_cov)
+        y += _planes_times(jam_gain, g)
+    y += np.sqrt(cfg.noise_variance * 0.5) * n
+    err = _planes_times(bs_cov.eigenvectors.conj().T @ a, y)
+    err -= s[:, None] * e
+    return np.einsum("ijk,ijk->k", err, err) / cfg.num_bs_antennas
+
+
+def shared_draws_axis_value(cfg, scenarios, trials, seed):
+    """``(mean, std_error)`` of each scenario of one sweep axis value.
+
+    One generator seeded with ``seed`` draws each random-unitary scenario's
+    pilots in scenario order, then spawns the trial chunks. Each chunk
+    draws ``e``, then ``g`` if any scenario jams, then ``n``, once, and every
+    scenario's trial runs on those planes (``whitened_trials``).
+    """
+    bs_cov = exponential_covariance(cfg.num_bs_antennas, cfg.bs_correlation)
+    jam_cov = exponential_covariance(cfg.num_jammer_antennas, cfg.jammer_correlation)
+    rng = np.random.default_rng(seed)
+    length = cfg.pilot_length
+    blocks = []
+    for scenario in scenarios:
+        if scenario.pilot_design == "random-unitary":
+            pilots = random_unitary_pilots(cfg.num_bs_antennas, length, rng)
+        else:
+            design = optimal_pilots if scenario.pilot_design == "optimal" else worst_case_pilots
+            pilots = design(bs_cov, length)
+        jamming = {
+            "silent": None,
+            "single-shot": single_shot_jamming(cfg.num_jammer_antennas, length),
+            "eigen-optimal": optimal_jamming(jam_cov, length),
+        }[scenario.jamming]
+        blocks.append((pilots, jamming, scenario.estimator_mode))
+    jams = any(jamming is not None for _, jamming, _ in blocks)
+    per_trial = np.empty((len(blocks), trials))
+    start = 0
+    for stream in rng.spawn(-(-trials // _MC_CHUNK)):
+        k = min(_MC_CHUNK, trials - start)
+        e = stream.standard_normal((2, cfg.num_bs_antennas, k))
+        g = stream.standard_normal((2, cfg.num_jammer_antennas, k)) if jams else None
+        n = stream.standard_normal((2, length, k))
+        for row, (pilots, jamming, mode) in zip(per_trial, blocks):
+            row[start : start + k] = whitened_trials(
+                pilots, jamming, bs_cov, jam_cov, cfg, mode, e, g, n
+            )
+        start += k
+    return [(float(row.mean()), float(row.std(ddof=1) / np.sqrt(trials))) for row in per_trial]

@@ -89,6 +89,8 @@ class TestMseCommand:
         )
         assert code == 2
         assert "antennas" in err
+        # the scenario is named as a sweep names its failing point
+        assert "error: axis value 4, scenario optimal/eigen-optimal/jammer-aware: " in err
 
     @pytest.mark.parametrize(
         ("flags", "key"),

@@ -35,19 +35,20 @@ from fddjam.experiments import (
     write_results,
 )
 from fddjam.linalg import _bundled_openblas
-from fddjam.training import ESTIMATOR_MODES, PILOT_DESIGNS, TrainingConfig
+from fddjam.training import _MC_CHUNK, ESTIMATOR_MODES, PILOT_DESIGNS, TrainingConfig
+from oracles import shared_draws_axis_value
 
 # Closed-form figure rows stored with the benchmark, at 12 significant digits.
 REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 
-# `fddjam figure 2 --trials 50`, written before points stopped building
-# seeds they do not draw from.
+# `fddjam figure 2 --trials 50`, written since the scenarios of an axis value
+# share one set of Monte-Carlo draws (version 0.2.0).
 FIGURE2_MC50 = Path(__file__).resolve().parent / "data" / "figure2-mc50.csv"
 
 
 @pytest.fixture
 def seed_sequences(monkeypatch):
-    """Spawn keys of the point seeds a sweep builds."""
+    """Spawn keys of the axis-value seeds a sweep builds."""
     built = []
     seed_sequence = np.random.SeedSequence
 
@@ -314,14 +315,14 @@ class TestPointSeeds:
             run_sweep(figure_spec(figure), workers=1)
         assert seed_sequences == []
 
-    def test_monte_carlo_sweep_builds_one_seed_per_point(self, seed_sequences):
+    def test_monte_carlo_sweep_builds_one_seed_per_axis_value(self, seed_sequences):
         run_sweep(small_spec(trials=5), workers=1)
-        assert seed_sequences == [(point,) for point in range(9)]
+        assert seed_sequences == [(0,), (1,), (2,)]
 
-    def test_random_pilot_points_keep_their_stream_index(self, seed_sequences):
+    def test_random_pilot_sweep_builds_one_seed_per_axis_value(self, seed_sequences):
         scenarios = (Scenario("optimal", "silent"), Scenario("random-unitary", "silent"))
         run_sweep(small_spec(scenarios=scenarios), workers=1)
-        assert seed_sequences == [(1,), (3,), (5,)]
+        assert seed_sequences == [(0,), (1,), (2,)]
 
     def test_monte_carlo_values_match_stored_run(self):
         stored = read_results(FIGURE2_MC50)
@@ -337,15 +338,73 @@ class TestPointSeeds:
             )
 
 
+class CountingGenerator:
+    """A generator that records the size of every ``standard_normal`` draw,
+    its own and those of the streams it spawns."""
+
+    def __init__(self, generator, sizes):
+        self.generator, self.sizes = generator, sizes
+
+    def spawn(self, n):
+        return [CountingGenerator(g, self.sizes) for g in self.generator.spawn(n)]
+
+    def standard_normal(self, size):
+        self.sizes.append(int(np.prod(size)))
+        return self.generator.standard_normal(size)
+
+    def __getattr__(self, name):
+        return getattr(self.generator, name)
+
+
+class TestSharedDraws:
+    """The scenarios of an axis value share one set of Monte-Carlo draws."""
+
+    MIXED = (
+        Scenario("optimal", "silent"),
+        Scenario("random-unitary", "single-shot", "jammer-unaware"),
+        Scenario("worst-case", "eigen-optimal"),
+        Scenario("random-unitary", "silent"),
+        Scenario("optimal", "eigen-optimal", "jammer-unaware"),
+    )
+    SILENT = (Scenario("optimal", "silent"), Scenario("random-unitary", "silent", "jammer-unaware"))
+
+    @pytest.mark.parametrize("trials", [300, _MC_CHUNK + 37], ids=["300", "two-chunks"])
+    @pytest.mark.parametrize("scenarios", [MIXED, SILENT], ids=["mixed", "silent"])
+    def test_rows_match_the_shared_draws_oracle_bit_for_bit(self, scenarios, trials):
+        spec = small_spec(trials=trials, seed=4, scenarios=scenarios)
+        rows = run_sweep(spec, workers=1)
+        for index, value in enumerate(spec.axis_values):
+            want = shared_draws_axis_value(
+                config_for_point(spec.base, spec.sweep_axis, value), scenarios, trials,
+                np.random.SeedSequence(spec.seed, spawn_key=(index,)),
+            )
+            got = [(r.empirical_mse, r.empirical_std_err) for r in rows
+                   if r.axis_value == value]
+            assert got == want, value
+
+    def test_figure_two_draws_each_trial_normal_once(self, monkeypatch):
+        # 20 axis values x 500 trials x (100 channel + 100 jammer-channel + L
+        # noise) complex normals, two planes each, drawn once for the five
+        # scenarios of an axis value
+        sizes = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed), sizes)
+        )
+        rows = run_sweep(figure_spec(2, monte_carlo_trials=500), workers=1)
+        assert len(rows) == 100
+        assert sum(sizes) == 5_050_000
+
+
 class TestFailingPoint:
     # with trials, two workers raise in pool processes and pickle the error
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("error", [ArithmeticError, ValueError, np.linalg.LinAlgError])
     def test_names_axis_value_and_scenario(self, monkeypatch, error, workers):
-        def fail(cfg, scenario, trials, seed, axis_value):
-            if axis_value == 4 and scenario.jamming == "eigen-optimal":
+        def fail(cfg, scenario, *args):
+            if cfg.pilot_length == 4 and scenario.jamming == "eigen-optimal":
                 raise error("boom")
-            return real(cfg, scenario, trials, seed, axis_value)
+            return real(cfg, scenario, *args)
 
         real = experiments._evaluate_scenario
         monkeypatch.setattr(experiments, "_evaluate_scenario", fail)

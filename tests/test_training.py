@@ -13,7 +13,7 @@ from fddjam.experiments import (
     _build_jamming,
     _build_pilots,
     _covariances,
-    _evaluate_scenario,
+    _evaluate_point,
     config_for_point,
     figure_spec,
 )
@@ -235,6 +235,14 @@ class TestEstimateCovariance:
         with pytest.raises(ValueError, match="bs_power_db -inf leaves no finite noise_variance"):
             make_cfg(M=4, L=2, pb=float("-inf"))
 
+    def test_rejects_bs_power_whose_system_bound_overflows(self):
+        # noise_variance / bs_power is 1e308, finite; twice M plus it is not
+        with pytest.raises(
+            ValueError,
+            match=r"bs_power_db -3080.0 overflows twice num_bs_antennas \+ noise_variance",
+        ):
+            make_cfg(M=2, L=1, pb=-3080.0)
+
 
 class TestClosedFormMse:
     def test_zero_estimate_covariance(self):
@@ -377,8 +385,8 @@ def scenario_configs(draw):
 
 def row_mse(cfg, pilot, jamming, mode="jammer-aware", seed=0):
     """Closed-form MSE of one scenario as a sweep computes it."""
-    row = _evaluate_scenario(
-        cfg, Scenario(pilot, jamming, mode), 0, np.random.SeedSequence(seed), cfg.pilot_length
+    [row] = _evaluate_point(
+        cfg, (Scenario(pilot, jamming, mode),), 0, np.random.SeedSequence(seed), cfg.pilot_length
     )
     return row.closed_form_mse
 
@@ -483,8 +491,8 @@ class TestTrainingSystem:
         for pilot in PILOT_DESIGNS:
             for jamming in JAMMING_CHOICES:
                 for mode in ESTIMATOR_MODES:
-                    _evaluate_scenario(
-                        cfg, Scenario(pilot, jamming, mode), 500, np.random.SeedSequence(3), 4
+                    _evaluate_point(
+                        cfg, (Scenario(pilot, jamming, mode),), 500, np.random.SeedSequence(3), 4
                     )
         bs_cov, jam_cov = _covariances(cfg)
         pilots = random_unitary_pilots(16, 4, np.random.default_rng(1))
