@@ -24,7 +24,6 @@ from .training import (
     UnitaryBlock,
     _check_dimensions,
     _closed_form,
-    _jamming_term,
     _pilot_terms,
     optimal_pilots,
 )
@@ -38,8 +37,11 @@ __all__ = [
 
 
 # Haar candidates of verify_lemma drawn and evaluated per stack. 32 amortize
-# numpy's per-call overhead; at 64x16 on one thread a stack of 128 added
-# 13.6 MiB to the process's peak memory, one of 32 added 3.1 MiB.
+# numpy's per-call overhead. A block of N x L costs its share of one stacked
+# QR, one real N x N by N x 2L product C_jZ, one L x N x L congruence and one
+# L x L Cholesky check and solve with L right-hand sides. A call holds one
+# workspace for a stack, 32 * (6 N L + 2 L^2) float64s (the normals, the
+# Gaussian blocks, C_jZ and J): 1.6 MiB at 64x16.
 _LEMMA_STACK = 32
 
 
@@ -61,6 +63,15 @@ def single_shot_jamming(num_antennas: int, pilot_length: int) -> UnitaryBlock:
     num_antennas = _count(num_antennas, "num_antennas", 1)
     pilot_length = _count(pilot_length, _BLOCK_LENGTH, 1, num_antennas)
     return UnitaryBlock(np.eye(num_antennas, pilot_length))
+
+
+def _lemma_terms(pilots: UnitaryBlock, bs_cov: ChannelCovariance, cfg: TrainingConfig):
+    """``verify_lemma``'s closed-form pilot terms ``(K, R, tr C, M)``: those of
+    ``_pilot_terms`` with ``G = CP`` replaced by ``R`` of ``CP = QR``, an
+    ``L x L`` factor with ``RᴴR = GᴴG``, all that ``_closed_form`` reads of
+    ``G``. ``R`` is real for a float64 ``CP``."""
+    k, cp, trace_c, num_antennas = _pilot_terms(pilots, bs_cov, cfg)
+    return k, np.linalg.qr(cp, mode="r"), trace_c, num_antennas
 
 
 @dataclass(frozen=True)
@@ -102,20 +113,26 @@ def verify_lemma(
     Both MSEs come from the training-length closed form that
     ``scenario_closed_form_mse`` uses, through one evaluator of a stack of
     blocks; the eigen-optimal block is a stack of one. The pilot-side terms
-    are computed once, so each block costs one product ``C_jam Z``, real for
-    a float64 ``C_jam``, which serves both the trace objective and
-    ``(C_jam Z)^H Z``, and one ``L x L`` solve.
+    are computed once, with ``R`` of ``CP = QR`` in place of ``G = CP``: the
+    closed form reads ``G`` only through ``GᴴG = RᴴR``, so each block's
+    solve has an ``L x L`` right-hand side, not an ``L x M`` one. Each block
+    then costs one product ``C_jam Z``, real for a float64 ``C_jam``, one
+    ``L x L`` congruence ``(C_jam Z)ᴴZ``, whose trace is the objective and
+    which scaled is ``J``, and one ``L x L`` solve.
 
     Candidates are drawn from ``rng`` and evaluated in stacks of
     ``_LEMMA_STACK``, with one stacked call per step, on the calling thread.
-    The verdict, and ``rng``'s state after the call, are bit for bit those
-    of drawing and evaluating the candidates one at a time. A stack that
-    fails a check raises what its stacked call raises, once ``rng`` has
-    drawn the whole stack. With one failing candidate in the stack, that is
-    the type and message the candidate raises alone: ``solve_hpd``'s
-    messages do not depend on the other candidates, and each MSE is checked
-    in candidate order. Only a stack whose candidates fail different checks
-    raises the stack's first check rather than the earlier candidate's.
+    The normals, the Gaussian blocks, ``C_jam Z`` and ``J`` are written into
+    one workspace per call, which the last, partial stack uses a leading
+    slice of; only the QR and the solve allocate per stack. The verdict, and
+    ``rng``'s state after the call, are bit for bit those of drawing and
+    evaluating the candidates one at a time. A stack that fails a check
+    raises what its stacked call raises, once ``rng`` has drawn the whole
+    stack. With one failing candidate in the stack, that is the type and
+    message the candidate raises alone: ``solve_hpd``'s messages do not
+    depend on the other candidates, and each MSE is checked in candidate
+    order. Only a stack whose candidates fail different checks raises the
+    stack's first check rather than the earlier candidate's.
 
     Meant for oracle-scale dimensions (tens of antennas, hundreds to
     thousands of samples).
@@ -124,20 +141,43 @@ def verify_lemma(
     length = pilots.length
     z_opt = optimal_jamming(jam_cov, length)
     _check_dimensions(pilots, z_opt, bs_cov, jam_cov, cfg)
-    terms = _pilot_terms(pilots, bs_cov, cfg)
+    terms = _lemma_terms(pilots, bs_cov, cfg)
+    ratio = cfg.jammer_power / cfg.bs_power
 
-    def evaluate(zs: np.ndarray) -> tuple[list[float], list[float]]:
-        """Trace objectives and jammer-aware MSEs of an ``(n, N, L)`` stack of blocks."""
-        czs = _real_times(jam_cov.matrix, zs)
-        objectives = [float(np.vdot(z, cz).real) for z, cz in zip(zs, czs)]
-        return objectives, _closed_form(terms, _jamming_term(zs, czs, cfg), True)
+    def evaluate(zs, cz, jam) -> tuple[list[float], list[float]]:
+        """Trace objectives and jammer-aware MSEs of an ``(n, N, L)`` stack of
+        blocks, forming ``C_jam Z`` in ``cz`` and ``J`` in ``jam``."""
+        _real_times(jam_cov.matrix, zs, out=cz)
+        # (C_jam Z)ᴴZ, then J with the bits of training._jamming_term
+        np.matmul(np.conj(cz, out=cz).mT, zs, out=jam)
+        objectives = np.trace(jam, axis1=-2, axis2=-1).real.tolist()
+        jam *= ratio
+        return objectives, _closed_form(terms, jam, True)
 
-    (optimal_objective,), (optimal_mse,) = evaluate(z_opt.matrix[None])
+    z = z_opt.matrix[None]
+    dtype = np.result_type(jam_cov.matrix, z)
+    (optimal_objective,), (optimal_mse,) = evaluate(
+        z, np.empty(z.shape, dtype), np.empty((1, length, length), dtype)
+    )
+    # One buffer holds the normals, the Gaussian blocks, C_jZ and J. As four
+    # arrays, a warm 64x16 call took 1,800-2,900 minor page faults in some
+    # process layouts, as one buffer 0-910 in every layout tried.
+    stack, n = min(_LEMMA_STACK, num_random), jam_cov.size
+    block, square = 2 * stack * n * length, 2 * stack * length * length
+    workspace = np.empty(3 * block + square)
+    normals = workspace[:block].reshape(stack, 2, n, length)
+    blocks, cz = (
+        workspace[i * block:(i + 1) * block].view(np.complex128).reshape(stack, n, length)
+        for i in (1, 2)
+    )
+    jam = workspace[3 * block:].view(np.complex128).reshape(stack, length, length)
     objectives, mses = [], []
     for start in range(0, num_random, _LEMMA_STACK):
-        stack_objectives, stack_mses = evaluate(haar_orthonormal_columns(
-            jam_cov.size, length, rng, min(_LEMMA_STACK, num_random - start)
-        ))
+        size = min(_LEMMA_STACK, num_random - start)
+        zs = haar_orthonormal_columns(
+            n, length, rng, size, workspace=(normals[:size], blocks[:size])
+        )
+        stack_objectives, stack_mses = evaluate(zs, cz[:size], jam[:size])
         objectives += stack_objectives
         mses += stack_mses
     best_objective = max(objectives, default=None)

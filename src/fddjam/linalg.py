@@ -76,8 +76,9 @@ def _finite_matrix(a, name: str) -> np.ndarray:
     return arr
 
 
-def _real_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """``a @ x``, with ``x`` one matrix or a stack of them.
+def _real_times(a: np.ndarray, x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """``a @ x``, with ``x`` one matrix or a stack of them, written into
+    ``out`` when given (C-contiguous, of the product's shape and dtype).
 
     A float64 ``a`` times a complex ``x`` multiplies the float64 view of
     ``x``, one real GEMM with half the flops of the complex one; the view
@@ -85,8 +86,9 @@ def _real_times(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     pair is a plain product.
     """
     if np.iscomplexobj(a) or not np.iscomplexobj(x):
-        return a @ x
-    return (a @ np.ascontiguousarray(x).view(np.float64)).view(np.complex128)
+        return np.matmul(a, x, out=out)
+    real_out = None if out is None else out.view(np.float64)
+    return np.matmul(a, np.ascontiguousarray(x).view(np.float64), out=real_out).view(np.complex128)
 
 
 def require_orthonormal_columns(matrix: np.ndarray, *, name: str = "matrix") -> None:
@@ -128,20 +130,44 @@ def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.linalg.solve(a, b)
 
 
-def _complex_normals(rng: np.random.Generator, shape: tuple, scale: float) -> np.ndarray:
+def _complex_normals(
+    rng: np.random.Generator, shape: tuple, scale: float, workspace: tuple | None = None
+) -> np.ndarray:
     """``scale * (re + 1j * im)`` for standard normals ``re`` and ``im`` of
     ``shape``, with the bits of that expression. One draw gives each
     trailing matrix's ``re`` then ``im``, as two draws would; both scaled
-    planes are written straight into the result's float64 view."""
-    normals = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
-    x = np.empty(shape, np.complex128)
+    planes are written straight into the result's float64 view.
+
+    ``workspace``, a pair of C-contiguous arrays, float64 of the draw's
+    shape ``(*shape[:-2], 2, *shape[-2:])`` and complex128 of ``shape``,
+    receives the draw and the result, which is then the second array; the
+    stream and the bits are those without it.
+    """
+    drawn = (*shape[:-2], 2, *shape[-2:])
+    if workspace is None:
+        normals, x = np.empty(drawn), np.empty(shape, np.complex128)
+    else:
+        normals, x = workspace
+        if (normals.shape, normals.dtype, x.shape, x.dtype) != (
+            drawn, np.float64, tuple(shape), np.complex128
+        ):
+            raise ValueError(
+                f"workspace must be float64 {drawn} and complex128 {tuple(shape)} arrays, "
+                f"got {normals.dtype} {normals.shape} and {x.dtype} {x.shape}"
+            )
+    rng.standard_normal(out=normals)
     np.multiply(normals[..., 0, :, :], scale, out=x.real)
     np.multiply(normals[..., 1, :, :], scale, out=x.imag)
     return x
 
 
 def haar_orthonormal_columns(
-    rows: int, cols: int, rng: np.random.Generator, count: int | None = None
+    rows: int,
+    cols: int,
+    rng: np.random.Generator,
+    count: int | None = None,
+    *,
+    workspace: tuple | None = None,
 ) -> np.ndarray:
     """Draw a Haar-distributed ``(rows, cols)`` matrix with orthonormal columns.
 
@@ -154,12 +180,18 @@ def haar_orthonormal_columns(
     generator state after, of ``count`` calls without it. A single matrix
     is the stack of one.
 
+    ``workspace`` lets a caller that draws many stacks keep the draw's two
+    arrays, float64 ``(count, 2, rows, cols)`` normals and the complex128
+    ``(count, rows, cols)`` Gaussian matrices (``count`` 1 without it), for
+    every stack, so that only the QR allocates: the same stream, the same
+    bits. The returned ``Q`` is the QR's own array.
+
     A rank-deficient draw (probability zero) raises ``numpy.linalg.LinAlgError``.
     """
     rows = _count(rows, "rows", 1)
     cols = _count(cols, "cols", 1, rows)
     size = 1 if count is None else _count(count, "count", 1)
-    x = _complex_normals(rng, (size, rows, cols), np.sqrt(0.5))
+    x = _complex_normals(rng, (size, rows, cols), np.sqrt(0.5), workspace)
     q, r = np.linalg.qr(x, mode="reduced")
     d = np.diagonal(r, axis1=-2, axis2=-1)
     if not float(np.min(np.abs(d))) > 1e-12:

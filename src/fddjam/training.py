@@ -308,7 +308,8 @@ def _jamming_term(z: np.ndarray, cz: np.ndarray, cfg: TrainingConfig) -> np.ndar
 
     ``cz`` is ``C_jZ``, formed as ``_real_times(jam_cov.matrix, z)``. ``z``
     and ``cz`` may be ``(n, N, L)`` stacks, giving an ``(n, L, L)`` stack of
-    terms.
+    terms. ``jammer.verify_lemma`` forms the same bits in its workspace,
+    where it also takes the trace of ``(C_jZ)ᴴZ`` before the scaling.
     """
     return (cfg.jammer_power / cfg.bs_power) * (cz.conj().mT @ z)
 

@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from fddjam.channel import exponential_covariance
-from fddjam.jammer import LemmaVerdict, optimal_jamming, single_shot_jamming
+from fddjam.jammer import LemmaVerdict, _lemma_terms, optimal_jamming, single_shot_jamming
 from fddjam.linalg import _count, _real_times
 from fddjam.tolerances import KY_FAN_SLACK, PSD_EIG_FLOOR
 from fddjam.training import (
@@ -27,7 +27,6 @@ from fddjam.training import (
     _closed_form,
     _jamming_term,
     _mmse_filter,
-    _pilot_terms,
     _planes_times,
     optimal_pilots,
     random_unitary_pilots,
@@ -175,22 +174,25 @@ def haar_one_by_one(rows, cols, rng):
 
 
 def verify_lemma_one_by_one(bs_cov, jam_cov, pilots, cfg, num_random, rng):
-    """``jammer.verify_lemma``, drawing and evaluating one candidate at a time."""
+    """``jammer.verify_lemma``, drawing and evaluating one candidate at a time.
+
+    It takes the same pilot terms, with ``R`` of ``CP`` (``_lemma_terms``),
+    and the same objective, the trace of ``(C_jZ)ᴴZ``.
+    """
     length = pilots.length
     z_opt = optimal_jamming(jam_cov, length)
     _check_dimensions(pilots, z_opt, bs_cov, jam_cov, cfg)
-    terms = _pilot_terms(pilots, bs_cov, cfg)
-    optimal_objective = jamming_objective(z_opt, jam_cov)
-    cz_opt = _real_times(jam_cov.matrix, z_opt.matrix)
-    optimal_mse = _closed_form(
-        terms, _jamming_term(z_opt.matrix, cz_opt, cfg), jammer_aware=True
-    )
+    terms = _lemma_terms(pilots, bs_cov, cfg)
+
+    def evaluate(z):
+        cz = _real_times(jam_cov.matrix, z)
+        objective = float(np.trace(cz.conj().T @ z).real)
+        return objective, _closed_form(terms, _jamming_term(z, cz, cfg), jammer_aware=True)
+
+    optimal_objective, optimal_mse = evaluate(z_opt.matrix)
     best_objective = best_mse = None
     for _ in range(num_random):
-        z = haar_one_by_one(jam_cov.size, length, rng)
-        cz = _real_times(jam_cov.matrix, z)
-        objective = float(np.vdot(z, cz).real)
-        mse = _closed_form(terms, _jamming_term(z, cz, cfg), jammer_aware=True)
+        objective, mse = evaluate(haar_one_by_one(jam_cov.size, length, rng))
         if best_objective is None or objective > best_objective:
             best_objective = objective
         if best_mse is None or mse > best_mse:

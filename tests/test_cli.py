@@ -372,11 +372,11 @@ class TestVerifyLemmaCommand:
         assert "random samples:          300" in out
         assert "MSE counterexample:" in out
 
-    @pytest.mark.parametrize("workers", ["1", "2"])
-    def test_stdout_is_pinned_for_any_worker_count(self, workers):
-        # 64 BS and jammer antennas, L = 16, 2,000 candidates: the stdout
-        # the one-candidate-at-a-time loop printed, in a fresh interpreter
-        config = Path(__file__).resolve().parent / "data" / "verify-lemma-64.json"
+    @staticmethod
+    def assert_pinned(name, workers):
+        """``verify-lemma`` on ``tests/data/<name>.json``, in a fresh
+        interpreter, prints ``tests/data/<name>.txt``."""
+        config = Path(__file__).resolve().parent / "data" / f"{name}.json"
         env = dict(os.environ, FDDJAM_WORKERS=workers)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, [str(Path(fddjam.__file__).parents[1]), env.get("PYTHONPATH")])
@@ -387,6 +387,18 @@ class TestVerifyLemmaCommand:
         )
         assert done.returncode == 0, done.stderr
         assert done.stdout == config.with_suffix(".txt").read_text()
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_stdout_is_pinned_for_any_worker_count(self, workers):
+        # 64 BS and jammer antennas, L = 16, 2,000 candidates: the stdout
+        # the one-candidate-at-a-time loop printed
+        self.assert_pinned("verify-lemma-64", workers)
+
+    @pytest.mark.parametrize("workers", ["1", "2"])
+    def test_random_pilot_stdout_is_pinned_for_any_worker_count(self, workers):
+        # random-unitary pilots at 32x8, so R of CP is complex: the stdout
+        # of the lemma that solved against CP
+        self.assert_pinned("verify-lemma-random", workers)
 
     @pytest.mark.parametrize(
         ("key", "value"),

@@ -10,14 +10,19 @@ import fddjam.training
 from fddjam.channel import ChannelCovariance, exponential_covariance
 from fddjam.jammer import (
     _LEMMA_STACK,
+    _lemma_terms,
     optimal_jamming,
     single_shot_jamming,
     verify_lemma,
 )
-from fddjam.linalg import haar_orthonormal_columns
+from fddjam.linalg import _real_times, haar_orthonormal_columns
 from fddjam.training import (
+    ESTIMATOR_MODES,
     TrainingConfig,
     UnitaryBlock,
+    _closed_form,
+    _jamming_term,
+    _pilot_terms,
     optimal_pilots,
     random_unitary_pilots,
     scenario_closed_form_mse,
@@ -263,9 +268,9 @@ class TestStackedLemma:
     def test_draws_whole_stacks(self, monkeypatch):
         draw, counts = fddjam.jammer.haar_orthonormal_columns, []
 
-        def counted_draw(rows, cols, rng, count):
+        def counted_draw(rows, cols, rng, count, *, workspace):
             counts.append(count)
-            return draw(rows, cols, rng, count)
+            return draw(rows, cols, rng, count, workspace=workspace)
 
         monkeypatch.setattr(fddjam.jammer, "haar_orthonormal_columns", counted_draw)
         lemma_outcome(verify_lemma, LEMMA_CONFIGS[0], 1, 2 * _LEMMA_STACK + 5)
@@ -318,6 +323,107 @@ class TestStackedLemma:
         assert len(calls) == 1 + 56  # the optimal block, then candidates 0..55
         assert want[0] is np.linalg.LinAlgError
         assert got == want
+
+
+class TestLemmaTerms:
+    """verify_lemma's pilot terms, with R of CP = QR in place of CP."""
+
+    @staticmethod
+    def mses_both_ways(bs_cov, jam_cov, pilots, cfg, rng, mode):
+        """Closed-form MSEs of the eigen-optimal block and 40 Haar blocks from
+        the ``R`` terms and from the ``CP`` terms, and that ``R``."""
+        zs = np.concatenate([
+            optimal_jamming(jam_cov, pilots.length).matrix[None],
+            haar_orthonormal_columns(jam_cov.size, pilots.length, rng, 40),
+        ])
+        jams = _jamming_term(zs, _real_times(jam_cov.matrix, zs), cfg)
+        aware = mode == "jammer-aware"
+        r_terms = _lemma_terms(pilots, bs_cov, cfg)
+        return (_closed_form(r_terms, jams, aware),
+                _closed_form(_pilot_terms(pilots, bs_cov, cfg), jams, aware), r_terms[1])
+
+    @pytest.mark.parametrize("mode", ESTIMATOR_MODES)
+    @pytest.mark.parametrize("config", LEMMA_CONFIGS, ids=lambda c: "M{}-N{}-L{}-{}".format(*c))
+    def test_r_terms_give_the_cp_terms_mses(self, config, mode):
+        bs_cov, jam_cov, pilots, cfg, rng = lemma_inputs(*config, 8)
+        got, want, r = self.mses_both_ways(bs_cov, jam_cov, pilots, cfg, rng, mode)
+        length = config[2]
+        assert r.shape == (length, length)
+        # random pilots make CP, and so R, complex
+        assert np.iscomplexobj(r) == (config[3] == "random-unitary")
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("design", ["optimal", "random-unitary"])
+    def test_rank_one_bs_covariance(self, design):
+        # C = 11ᵀ makes CP rank one, so R has one nonzero row
+        M, N, L = 8, 6, 3
+        cfg = make_cfg(M, N, L, r=1.0, rg=0.5)
+        with pytest.warns(RuntimeWarning, match="rank-one"):
+            bs_cov = exponential_covariance(M, 1.0)
+        rng = np.random.default_rng(9)
+        pilots = (optimal_pilots(bs_cov, L) if design == "optimal"
+                  else random_unitary_pilots(M, L, rng))
+        got, want, r = self.mses_both_ways(
+            bs_cov, exponential_covariance(N, 0.5), pilots, cfg, rng, "jammer-aware"
+        )
+        assert np.linalg.matrix_rank(r) == 1
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pilot_lemma_matches_its_cp_terms(self, monkeypatch, seed):
+        # the verdict of a 32x8 random-pilot lemma run, against every MSE
+        # evaluated from the CP terms
+        M, N, L = 32, 32, 8
+        cfg = make_cfg(M, N, L, r=0.7)
+        bs_cov = exponential_covariance(M, 0.7)
+        rng = np.random.default_rng(seed)
+        pilots = random_unitary_pilots(M, L, rng)
+        cp_terms = _pilot_terms(pilots, bs_cov, cfg)
+        evaluate, seen = fddjam.jammer._closed_form, []
+
+        def spy(terms, jam, aware):
+            mses = evaluate(terms, jam, aware)
+            np.testing.assert_allclose(mses, evaluate(cp_terms, jam, aware), rtol=1e-12, atol=0)
+            seen.extend(mses)
+            return mses
+
+        monkeypatch.setattr(fddjam.jammer, "_closed_form", spy)
+        verdict = verify_lemma(bs_cov, bs_cov, pilots, cfg, 100, rng)
+        assert len(seen) == 1 + 100
+        assert verdict.best_random_mse == max(seen[1:])
+
+
+class TestSquareBlocks:
+    """With N = L every block is unitary, so every trace objective is tr C_j.
+
+    Householder Q keeps each objective within round-off of it; forming J
+    from the Gaussian block and R⁻¹ instead of Q put one of 20,000
+    objectives at 16x16 2.5e-9 above it, past KY_FAN_SLACK.
+    """
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("size", [16, 5])
+    def test_every_objective_is_the_trace(self, monkeypatch, size, seed):
+        cfg = make_cfg(16, size, size, rg=0.9)
+        bs_cov, jam_cov = exponential_covariance(16, 0.7), exponential_covariance(size, 0.9)
+        evaluate, objectives = fddjam.jammer._closed_form, []
+
+        def spy(terms, jam, aware):
+            # equal powers make J the congruence (C_jZ)ᴴZ itself
+            objectives.extend(np.trace(jam, axis1=-2, axis2=-1).real)
+            return evaluate(terms, jam, aware)
+
+        monkeypatch.setattr(fddjam.jammer, "_closed_form", spy)
+        assert cfg.jammer_power / cfg.bs_power == 1.0
+        verdict = verify_lemma(
+            bs_cov, jam_cov, optimal_pilots(bs_cov, size), cfg, 2000,
+            np.random.default_rng(seed),
+        )
+        trace = float(size)  # the unit diagonal
+        assert len(objectives) == 1 + 2000
+        assert verdict.optimal_objective == objectives[0]
+        assert verdict.best_random_objective == max(objectives[1:])
+        assert np.max(np.abs(np.array(objectives) - trace)) <= 1e-12 * trace
 
 
 class TestStrategyDominance:

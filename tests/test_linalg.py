@@ -260,6 +260,32 @@ class TestComplexNormals:
         assert got.tobytes() == want.tobytes()
         assert state(rng) == state(ref)
 
+    def test_workspace_keeps_the_bytes_and_holds_the_result(self):
+        shape = (7, 4, 3)
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        normals, x = np.full((7, 2, 4, 3), np.nan), np.full(shape, np.nan, np.complex128)
+        got = _complex_normals(rng, shape, np.sqrt(0.5), (normals, x))
+        assert got is x
+        assert got.tobytes() == complex_normals(ref, shape, np.sqrt(0.5)).tobytes()
+        assert state(rng) == state(ref)
+
+    @pytest.mark.parametrize("normals,x", [
+        ((7, 2, 4, 3), (6, 4, 3)),   # fewer blocks than normals
+        ((8, 2, 4, 3), (7, 4, 3)),   # more normals than blocks
+        ((7, 4, 2, 3), (7, 4, 3)),   # planes on the wrong axis
+    ])
+    def test_workspace_of_another_shape_draws_nothing(self, normals, x):
+        rng, ref = np.random.default_rng(6), np.random.default_rng(6)
+        with pytest.raises(ValueError, match="workspace"):
+            _complex_normals(rng, (7, 4, 3), 1.0,
+                             (np.empty(normals), np.empty(x, np.complex128)))
+        assert state(rng) == state(ref)
+
+    def test_workspace_of_another_dtype_is_rejected(self):
+        with pytest.raises(ValueError, match="complex128"):
+            _complex_normals(np.random.default_rng(0), (2, 3), 1.0,
+                             (np.empty((2, 2, 3)), np.empty((2, 3))))
+
 
 class TestRealTimes:
     @pytest.mark.parametrize("shape", [(6, 3), (4, 6, 3)])
@@ -290,6 +316,16 @@ class TestRealTimes:
         got = _real_times(a, x)
         assert got.dtype == np.float64
         assert np.array_equal(got, a @ x)
+
+    @pytest.mark.parametrize("real", [True, False])
+    def test_out_holds_the_bits_of_the_product(self, real):
+        rng = np.random.default_rng(7)
+        a = rng.standard_normal((8, 8)) if real else random_hermitian(8, rng)
+        x = haar_orthonormal_columns(8, 3, rng, count=4)
+        out = np.empty((4, 8, 3), np.complex128)
+        got = _real_times(a, x, out=out)
+        assert np.shares_memory(got, out)
+        assert np.array_equal(out, _real_times(a, x))
 
     def test_stack_has_the_bits_of_each_matrix_alone(self):
         rng = np.random.default_rng(5)
@@ -330,8 +366,11 @@ def state(rng):
 
 
 def zero_diagonal_entry_of(bad, real_qr=np.linalg.qr):
-    """``np.linalg.qr`` that zeroes ``R[1, 1]`` of every input matrix equal to ``bad``."""
+    """``np.linalg.qr`` that zeroes ``R[1, 1]`` of every input matrix equal to
+    ``bad`` (of every one for None) when it returns ``Q`` too."""
     def qr(x, mode="reduced"):
+        if mode == "r":  # verify_lemma's R of CP, no Haar draw
+            return real_qr(x, mode=mode)
         q, r = real_qr(x, mode=mode)
         hit = np.all(x == bad, axis=(-2, -1)) if bad is not None else True
         r = np.array(r)
@@ -350,6 +389,24 @@ class TestHaarStacks:
         assert np.array_equal(stack, want)
         assert state(rng) == state(ref)
         single = haar_orthonormal_columns(rows, cols, rng)
+        assert np.array_equal(single, haar_one_by_one(rows, cols, ref))
+        assert state(rng) == state(ref)
+
+    @pytest.mark.parametrize("rows,cols,count", [(4, 1, 1), (6, 3, 5), (5, 5, 32), (9, 2, 33)])
+    def test_workspace_draws_are_the_one_by_one_draws(self, rows, cols, count):
+        rng, ref = np.random.default_rng(count), np.random.default_rng(count)
+        # a workspace one matrix larger, used through its leading slices
+        normals = np.empty((count + 1, 2, rows, cols))
+        blocks = np.empty((count + 1, rows, cols), np.complex128)
+        for size in (count, 1):
+            stack = haar_orthonormal_columns(
+                rows, cols, rng, size, workspace=(normals[:size], blocks[:size])
+            )
+            want = np.stack([haar_one_by_one(rows, cols, ref) for _ in range(size)])
+            assert not np.shares_memory(stack, blocks)
+            assert np.array_equal(stack, want)
+            assert state(rng) == state(ref)
+        single = haar_orthonormal_columns(rows, cols, rng, workspace=(normals[:1], blocks[:1]))
         assert np.array_equal(single, haar_one_by_one(rows, cols, ref))
         assert state(rng) == state(ref)
 
