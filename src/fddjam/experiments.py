@@ -33,11 +33,12 @@ from .training import (
     UnitaryBlock,
     _closed_form,
     _eigen_system,
+    _filter,
     _monte_carlo,
+    _scenario_terms,
     _trial_gains,
     optimal_pilots,
     random_unitary_pilots,
-    scenario_closed_form_mse,
     worst_case_pilots,
 )
 
@@ -185,16 +186,19 @@ def config_for_point(base: TrainingConfig, sweep_axis: str, axis_value: int) -> 
 def resolve_workers(workers: int | None = None) -> int:
     """Parallelism degree: explicit argument, else FDDJAM_WORKERS, else cores.
 
-    Each must be a positive integer; anything else raises ``ConfigError``
-    naming ``workers`` or FDDJAM_WORKERS.
+    Each must be a positive integer, FDDJAM_WORKERS in ``str(int)`` form;
+    anything else raises ``ConfigError`` naming ``workers`` or FDDJAM_WORKERS.
     """
     if workers is not None:
         workers = _count(workers, "workers", 1, error=ConfigError)
     elif (env := os.environ.get(WORKERS_ENV_VAR, "")).strip():
-        try:
+        try:  # int() also takes "2_0", "+2", "02" or "٢"
             workers = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer, got {env!r}") from exc
+        except ValueError:
+            workers = None
+        if workers is None or str(workers) != env.strip():
+            raise ConfigError(f"{WORKERS_ENV_VAR} must be an integer in plain ASCII digits "
+                              f"(no '+', leading zeros or '_'), got {env!r}")
         workers = _count(workers, WORKERS_ENV_VAR, 1, error=ConfigError)
     else:
         workers = os.cpu_count() or 1
@@ -246,20 +250,21 @@ def _evaluate_scenario(
     """``(closed-form MSE, trial gains or None)`` of one scenario.
 
     Optimal and worst-case pilots take the closed form from the covariance
-    spectra alone. Random pilots draw from ``generator``. With ``trials >
-    0`` the pilot and jamming blocks also give the scenario's Monte-Carlo
-    gains (``training._trial_gains``). ``covariances`` and ``generator``
-    are None at an axis value that draws nothing (see ``_draws``).
+    spectra alone. Random pilots draw from ``generator``. With random
+    pilots or ``trials > 0`` the scenario builds its blocks and its checked
+    ``L x L`` training system once, for the closed form of random pilots
+    and for its filter's Monte-Carlo gains (``training._trial_gains``).
+    ``covariances`` and ``generator`` are None at an axis value that draws
+    nothing (see ``_draws``).
     """
     random_pilots = scenario.pilot_design == "random-unitary"
     if random_pilots or trials > 0:
         bs_cov, jam_cov = covariances
         pilots = _build_pilots(scenario.pilot_design, bs_cov, cfg.pilot_length, generator)
         jamming = _build_jamming(scenario.jamming, jam_cov, cfg)
+        system = _scenario_terms(pilots, jamming, bs_cov, jam_cov, cfg, scenario.estimator_mode)
     if random_pilots:
-        closed = scenario_closed_form_mse(
-            pilots, jamming, bs_cov, jam_cov, cfg, scenario.estimator_mode
-        )
+        closed = _closed_form(*system)
     else:
         closed = _closed_form(
             *_eigen_system(scenario.pilot_design, scenario.jamming, cfg),
@@ -267,7 +272,7 @@ def _evaluate_scenario(
         )
     gains = None
     if trials > 0:
-        gains = _trial_gains(pilots, jamming, bs_cov, jam_cov, cfg, scenario.estimator_mode)
+        gains = _trial_gains(pilots, jamming, bs_cov, jam_cov, cfg, _filter(*system))
     return closed, gains
 
 

@@ -7,9 +7,10 @@ covariances): the dtype alone says which. A covariance's eigendecomposition
 lives in ``channel.ChannelCovariance``. Products keep real arithmetic where
 the dtypes allow it: ``solve_hpd`` solves a real system in float64,
 ``_real_times`` multiplies a real matrix into a complex block as one real
-GEMM, and the Monte-Carlo trials of ``training.empirical_mse`` run on the
-raw normal draws, as real and imaginary planes, in the eigenbasis of the
-covariance. Channel vectors are 1-d; batches are stacked column-wise.
+GEMM, and the Monte-Carlo trials of ``training._monte_carlo`` (reached
+through ``experiments.run_sweep`` and ``fddjam mse``) run on the raw normal
+draws, as real and imaginary planes, in the eigenbasis of the covariance.
+Channel vectors are 1-d; batches are stacked column-wise.
 """
 
 from __future__ import annotations

@@ -37,7 +37,6 @@ __all__ = [
     "MonteCarloMse",
     "TrainingConfig",
     "UnitaryBlock",
-    "empirical_mse",
     "optimal_pilots",
     "random_unitary_pilots",
     "scenario_closed_form_mse",
@@ -184,7 +183,6 @@ class MonteCarloMse:
 
     mean: float
     std_error: float
-    trials: int
 
 
 def optimal_pilots(bs_cov: ChannelCovariance, pilot_length: int) -> UnitaryBlock:
@@ -423,25 +421,6 @@ def _scenario_terms(
     return terms, jam, estimator_mode == "jammer-aware"
 
 
-def _mmse_filter(
-    pilots: UnitaryBlock,
-    jamming: UnitaryBlock | None,
-    bs_cov: ChannelCovariance,
-    jam_cov: ChannelCovariance | None,
-    cfg: TrainingConfig,
-    estimator_mode: str,
-) -> np.ndarray:
-    """Linear estimator matrix ``A`` such that the estimate is ``A @ received``.
-
-    ``A = Wᴴ / sqrt(L * bs_power)`` with ``W = K_est⁻¹PᴴC``, the closed
-    form's solve (``_filter``). In ``jammer-unaware`` mode the filter is
-    built without the jamming statistics even when a jammer is present in
-    the signal (model mismatch).
-    """
-    w = _filter(*_scenario_terms(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode))
-    return w.conj().T / np.sqrt(pilots.length * cfg.bs_power)
-
-
 def scenario_closed_form_mse(
     pilots: UnitaryBlock,
     jamming: UnitaryBlock | None,
@@ -490,16 +469,18 @@ def _trial_gains(
     bs_cov: ChannelCovariance,
     jam_cov: ChannelCovariance | None,
     cfg: TrainingConfig,
-    estimator_mode: str,
+    w: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """``(B, B_j, W)`` of one scenario's Monte-Carlo trial (see ``empirical_mse``).
+    """``(B, B_j, UᴴA)`` of one scenario's Monte-Carlo trial (see ``_monte_carlo``).
 
     ``B = sqrt(L·P_b)·PᴴU·diag(s)`` takes the channel planes ``e`` into the
-    received block, ``B_j`` (None for a silent jammer) the jammer's, and
-    ``W = UᴴA`` is the MMSE filter ``A`` in the eigenbasis of ``C = UΛUᴴ``.
+    received block and ``B_j`` (None for a silent jammer) the jammer's.
+    From the scenario's solve ``w``, ``W = K_est⁻¹Gᴴ`` of ``_filter``, the
+    MMSE filter is ``A = Wᴴ / sqrt(L·P_b)`` (the estimate is ``A @ y``),
+    returned in the eigenbasis of ``C = UΛUᴴ``.
     """
-    a = _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
     length = pilots.length
+    a = w.conj().T / np.sqrt(length * cfg.bs_power)
     bs_gain = np.sqrt(length * cfg.bs_power) * (
         pilots.matrix.conj().T @ bs_cov.eigenvectors
     ) * _scales(bs_cov)
@@ -517,11 +498,24 @@ def _monte_carlo(
 ) -> list[MonteCarloMse]:
     """Monte-Carlo MSEs of scenarios that share ``cfg`` and one set of draws.
 
-    ``gains`` holds one ``_trial_gains`` triple per scenario. Each chunk of
-    ``_MC_CHUNK`` trials, from its own stream spawned off ``rng``, draws
-    the planes ``e``, then ``g`` when some scenario jams, then ``n``, once;
-    each scenario then forms its own ``y = B e + B_j g + σn`` and error
-    ``s·e - W y`` from them.
+    Each trial draws a channel, a jammer channel and noise, runs each
+    scenario's (possibly mismatched) MMSE estimator on the received block
+    and takes the per-antenna squared error; ``gains`` holds one
+    ``_trial_gains`` triple per scenario. Trials run in chunks of
+    ``_MC_CHUNK``, each from its own stream spawned off ``rng``, so the
+    results depend only on the generator state and ``trials``, not on how
+    chunks are scheduled. Each mean uses numpy's pairwise summation.
+
+    A trial runs in the eigenbasis of ``C = UΛUᴴ`` on the raw normals: the
+    channel is ``h = U·s·e`` with ``s = sqrt(Λ/2)`` and ``e`` the real and
+    imaginary planes of one ``standard_normal`` draw, and the jammer's
+    channel likewise. With the filter ``A``, the error is measured as
+    ``s·e - UᴴAy``, whose norm is that of ``h - Ay`` because ``U`` is
+    unitary. Every product with a float64 matrix is real (``_planes_times``).
+
+    Each chunk draws the planes ``e``, then ``g`` when some scenario jams,
+    then ``n``, once, and each scenario forms its own ``y = B e + B_j g +
+    σn`` from them (common random numbers; see ``experiments.run_sweep``).
     """
     m = cfg.num_bs_antennas
     s = _scales(bs_cov)
@@ -549,49 +543,7 @@ def _monte_carlo(
         MonteCarloMse(
             mean=float(row.mean()),
             std_error=float(row.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
-            trials=trials,
         )
         for row in per_trial
     ]
 
-
-def empirical_mse(
-    pilots: UnitaryBlock,
-    jamming: UnitaryBlock | None,
-    bs_cov: ChannelCovariance,
-    jam_cov: ChannelCovariance | None,
-    cfg: TrainingConfig,
-    *,
-    trials: int,
-    rng: np.random.Generator,
-    estimator_mode: str = "jammer-aware",
-) -> MonteCarloMse:
-    """Monte-Carlo estimate of the per-antenna channel-estimation MSE.
-
-    Draws independent channel, jammer-channel and noise realizations, runs
-    the (possibly mismatched) MMSE estimator and averages the squared error
-    norm over ``trials`` trials. Trials are generated in chunks of
-    ``_MC_CHUNK``, each from its own stream spawned off ``rng``, so the result
-    depends only on the generator state and ``trials``, not on how chunks are
-    scheduled. The mean uses numpy's pairwise summation.
-
-    A trial runs in the eigenbasis of ``C = UΛUᴴ`` on the raw normals: the
-    channel is ``h = U·s·e`` with ``s = sqrt(Λ/2)`` and ``e`` the real and
-    imaginary planes of one ``standard_normal`` draw, and the jammer's
-    channel likewise. With the filter ``A``, the error is measured as
-    ``s·e - UᴴAy``, whose norm is that of ``h - Ay`` because ``U`` is
-    unitary. Every product with a float64 matrix is real (``_planes_times``).
-
-    This is the loop a sweep runs for all scenarios of one axis value at
-    once (``_monte_carlo``), with one scenario: each chunk draws ``e``, then
-    ``g`` if the jammer transmits, then the noise. In a sweep, the scenarios
-    of an axis value share those draws (common random numbers), so their
-    rows are correlated: differences between scenarios typically carry less
-    noise, while each row's mean and standard error keep their
-    distribution. A silent scenario's draws then also depend on whether
-    another scenario of its axis value jams, which adds the ``g`` draw
-    between ``e`` and the noise.
-    """
-    trials = _count(trials, "trials", 1)
-    gains = _trial_gains(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
-    return _monte_carlo([gains], bs_cov, cfg, trials, rng)[0]

@@ -5,10 +5,13 @@ library relies on it) so cross-checks stay meaningful: the full-dimension
 formulas solve through scipy's Cholesky routines, not the library's numpy
 solve. The one-candidate-at-a-time lemma loop is the exception: it is a
 bit-for-bit reference, so it keeps the single-matrix closed form. The
-complex-vector Monte-Carlo trial at the end is a round-off reference for
-the whitened real one, with the same filter. The shared-draws sweep loop
-at the very end is a bit-for-bit reference too: it runs each scenario's
-trial on its own, on draws made once for all scenarios.
+one-scenario helpers ``mmse_filter`` and ``monte_carlo_mse`` are not
+oracles: they run the library's own filter and Monte-Carlo loop, as a
+sweep does, for tests of one scenario. The complex-vector Monte-Carlo
+trial after them is a round-off reference for the whitened real one, with
+the same filter. The shared-draws sweep loop at the very end is a
+bit-for-bit reference too: it runs each scenario's trial on its own, on
+draws made once for all scenarios.
 """
 
 import math
@@ -25,9 +28,12 @@ from fddjam.training import (
     MonteCarloMse,
     _check_dimensions,
     _closed_form,
+    _filter,
     _jamming_term,
-    _mmse_filter,
+    _monte_carlo,
     _planes_times,
+    _scenario_terms,
+    _trial_gains,
     optimal_pilots,
     random_unitary_pilots,
     worst_case_pilots,
@@ -213,11 +219,29 @@ def verify_lemma_one_by_one(bs_cov, jam_cov, pilots, cfg, num_random, rng):
     )
 
 
+# One scenario through the library's Monte-Carlo path, and its estimator.
+
+
+def mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode):
+    """The MMSE estimator ``A`` of one scenario (the estimate is ``A @ y``):
+    ``Wᴴ / sqrt(L·P_b)`` with the scenario's solve ``W = K_est⁻¹Gᴴ``."""
+    w = _filter(*_scenario_terms(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode))
+    return w.conj().T / np.sqrt(pilots.length * cfg.bs_power)
+
+
+def monte_carlo_mse(pilots, jamming, bs_cov, jam_cov, cfg, *, trials, rng,
+                    estimator_mode="jammer-aware"):
+    """One scenario's ``MonteCarloMse`` as a sweep computes it: its filter's
+    trial gains, run through ``training._monte_carlo`` alone."""
+    w = _filter(*_scenario_terms(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode))
+    gains = _trial_gains(pilots, jamming, bs_cov, jam_cov, cfg, w)
+    return _monte_carlo([gains], bs_cov, cfg, trials, rng)[0]
+
+
 # The Monte-Carlo trial as it was before it ran whitened on the raw normal
 # planes: channels drawn as complex vectors through the covariance's
-# eigenvectors, complex products throughout. ``training.empirical_mse``
-# consumes the same normals from the same streams and must agree to
-# round-off.
+# eigenvectors, complex products throughout. ``monte_carlo_mse`` consumes
+# the same normals from the same streams and must agree to round-off.
 
 
 def complex_normals(rng, shape, scale):
@@ -243,9 +267,9 @@ def sample_complex_gaussian(eigenvalues, eigenvectors, rng, size):
 
 def empirical_mse_direct(pilots, jamming, bs_cov, jam_cov, cfg, *, trials, rng,
                          estimator_mode="jammer-aware"):
-    """``training.empirical_mse`` with channels drawn as complex vectors and
-    the error ``h - Ay`` formed in the antenna basis."""
-    a = _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
+    """``monte_carlo_mse`` with channels drawn as complex vectors and the
+    error ``h - Ay`` formed in the antenna basis."""
+    a = mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
     length = pilots.length
     bs_gain = np.sqrt(length * cfg.bs_power) * pilots.matrix.conj().T
     jam_gain = None
@@ -266,14 +290,14 @@ def empirical_mse_direct(pilots, jamming, bs_cov, jam_cov, cfg, *, trials, rng,
         per_trial[start : start + k] = (np.abs(err) ** 2).sum(axis=0) / cfg.num_bs_antennas
         start += k
     std_error = float(per_trial.std(ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0
-    return MonteCarloMse(mean=float(per_trial.mean()), std_error=std_error, trials=trials)
+    return MonteCarloMse(mean=float(per_trial.mean()), std_error=std_error)
 
 
 def whitened_trials(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode, e, g, n):
     """Per-trial squared errors of one scenario on the given normal planes,
-    with ``training.empirical_mse``'s arithmetic, written out for one
+    with ``training._monte_carlo``'s arithmetic, written out for one
     scenario."""
-    a = _mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
+    a = mmse_filter(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode)
     length = pilots.length
 
     def scales(cov):

@@ -21,13 +21,12 @@ from fddjam.jammer import optimal_jamming, single_shot_jamming
 from fddjam.linalg import haar_orthonormal_columns
 from fddjam.training import (
     TrainingConfig,
-    empirical_mse,
     optimal_pilots,
     random_unitary_pilots,
     scenario_closed_form_mse,
     worst_case_pilots,
 )
-from oracles import estimate_covariance
+from oracles import estimate_covariance, monte_carlo_mse
 
 
 def report(criterion, ok, detail):
@@ -123,11 +122,11 @@ def test_criterion_5_monte_carlo_agreement():
     ok = True
     for index, (name, jam) in enumerate(strategies.items()):
         closed = scenario_closed_form_mse(pilots, jam, bs_cov, jam_cov, cfg)
-        coarse = empirical_mse(
+        coarse = monte_carlo_mse(
             pilots, jam, bs_cov, jam_cov, cfg,
             trials=10_000, rng=np.random.default_rng(100 + index),
         )
-        fine = empirical_mse(
+        fine = monte_carlo_mse(
             pilots, jam, bs_cov, jam_cov, cfg,
             trials=100_000, rng=np.random.default_rng(200 + index),
         )

@@ -27,7 +27,6 @@ from fddjam.jammer import single_shot_jamming, verify_lemma
 from fddjam.linalg import _count, haar_orthonormal_columns
 from fddjam.training import (
     TrainingConfig,
-    empirical_mse,
     optimal_pilots,
     random_unitary_pilots,
     worst_case_pilots,
@@ -105,8 +104,6 @@ LIBRARY = [
      lambda v: random_unitary_pilots(6, v, rng())),
     ("single-shot-antennas", "num_antennas", 1, None, lambda v: single_shot_jamming(v, 1)),
     ("single-shot-length", "pilot_length", 1, 6, lambda v: single_shot_jamming(6, v)),
-    ("empirical-trials", "trials", 1, None,
-     lambda v: empirical_mse(PILOTS, None, COV, None, CFG, trials=v, rng=rng())),
     ("lemma-num-random", "num_random", 0, None,
      lambda v: verify_lemma(COV, COV, PILOTS, CFG, v, rng())),
 ]
@@ -128,7 +125,7 @@ SPEC = [
 # The worker count: None asks resolve_workers for the default, and the
 # variable is read as a string, so each has its own bad values.
 WORKER_ARGUMENTS = [True, 2.5, "3", 0, -3]
-WORKER_VARIABLES = ["0", "-4", "2.5", "true"]
+WORKER_VARIABLES = ["0", "-4", "2.5", "true", "2_0", "٢", "+2", "02"]
 # (id, flag, name in the error, low, high): flags of the CLI
 FLAGS = [
     ("figure-trials", ["figure", "1", "--out", "OUT"], "--trials", "--trials", 0, None),

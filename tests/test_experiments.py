@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fddjam import channel, experiments
+from fddjam import channel, experiments, training
 from fddjam.experiments import (
     CSV_HEADER,
     JAMMING_CHOICES,
@@ -44,6 +44,14 @@ REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 # `fddjam figure 2 --trials 50`, written since the scenarios of an axis value
 # share one set of Monte-Carlo draws (version 0.2.0).
 FIGURE2_MC50 = Path(__file__).resolve().parent / "data" / "figure2-mc50.csv"
+
+# The shipped sweep with random pilots and trials, and its CSV as
+# `FDDJAM_WORKERS=1 fddjam sweep` wrote it (version 0.2.0).
+RANDOM_PILOT_MC = Path(__file__).resolve().parent / "data" / "random-pilot-mc-sweep.json"
+
+
+def random_pilot_mc_spec():
+    return spec_from_dict(json.loads(RANDOM_PILOT_MC.read_text()))
 
 
 @pytest.fixture
@@ -336,6 +344,44 @@ class TestPointSeeds:
                 [getattr(r, field) for r in stored],
                 rtol=1e-9, atol=0, err_msg=field,
             )
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_random_pilot_csv_bytes_match_stored_run(self, tmp_path, workers):
+        path = tmp_path / "random-pilot-mc-sweep.csv"
+        write_results(run_sweep(random_pilot_mc_spec(), workers=workers), path)
+        assert path.read_bytes() == RANDOM_PILOT_MC.with_suffix(".csv").read_bytes()
+
+
+class TestSystemBuilds:
+    """Each scenario that builds blocks builds its L x L training system once:
+    the closed form of random pilots and the Monte-Carlo filter share it."""
+
+    @staticmethod
+    def count_calls(monkeypatch):
+        calls = {"_pilot_terms": 0, "solve_hpd": 0}
+        for name in calls:
+            original = getattr(training, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(training, name, counted)
+        return calls
+
+    def test_random_pilot_sweep_builds_one_system_per_row(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        rows = run_sweep(random_pilot_mc_spec(), workers=1)
+        assert len(rows) == 6
+        # one closed-form solve and one filter solve per row
+        assert calls == {"_pilot_terms": 6, "solve_hpd": 12}
+
+    def test_figure_two_with_trials_builds_one_system_per_row(self, monkeypatch):
+        calls = self.count_calls(monkeypatch)
+        rows = run_sweep(figure_spec(2, monte_carlo_trials=50), workers=1)
+        assert len(rows) == 100
+        # a filter solve per row and a closed-form solve per single-shot row
+        assert calls == {"_pilot_terms": 100, "solve_hpd": 120}
 
 
 class CountingGenerator:
