@@ -384,6 +384,33 @@ class TestSystemBuilds:
         assert calls == {"_pilot_terms": 100, "solve_hpd": 120}
 
 
+class TestRandomPilotClosedForm:
+    """A sweep's closed form of random pilots, read off the system it shares
+    with the Monte-Carlo filter, is the public ``scenario_closed_form_mse``
+    of the same drawn pilots, with and without trials."""
+
+    CFG = TrainingConfig(num_bs_antennas=8, num_jammer_antennas=6, pilot_length=3,
+                         bs_power_db=5.0, bs_correlation=0.7, jammer_correlation=0.4)
+
+    @pytest.mark.parametrize("mode", ESTIMATOR_MODES)
+    @pytest.mark.parametrize("jamming", JAMMING_CHOICES)
+    def test_matches_public_closed_form(self, jamming, mode):
+        cfg = self.CFG
+        bs_cov, jam_cov = experiments._covariances(cfg)
+        pilots = experiments._build_pilots("random-unitary", bs_cov, cfg.pilot_length,
+                                           np.random.default_rng(4))
+        want = training.scenario_closed_form_mse(
+            pilots, experiments._build_jamming(jamming, jam_cov, cfg), bs_cov, jam_cov, cfg, mode
+        )
+        scenario = Scenario("random-unitary", jamming, mode)
+        for trials in (0, 5):
+            closed, gains = experiments._evaluate_scenario(
+                cfg, scenario, trials, (bs_cov, jam_cov), np.random.default_rng(4)
+            )
+            assert closed == want
+            assert (gains is None) == (trials == 0)
+
+
 class CountingGenerator:
     """A generator that records the size of every ``standard_normal`` draw,
     its own and those of the streams it spawns."""
