@@ -33,6 +33,7 @@ from .training import (
     UnitaryBlock,
     _closed_form,
     _eigen_system,
+    _eigen_trial_gains,
     _filter,
     _monte_carlo,
     _scenario_terms,
@@ -249,31 +250,33 @@ def _evaluate_scenario(
 ) -> tuple[float, tuple | None]:
     """``(closed-form MSE, trial gains or None)`` of one scenario.
 
-    Optimal and worst-case pilots take the closed form from the covariance
-    spectra alone. Random pilots draw from ``generator``. With random
-    pilots or ``trials > 0`` the scenario builds its blocks and its checked
-    ``L x L`` training system once, for the closed form of random pilots
-    and for its filter's Monte-Carlo gains (``training._trial_gains``).
-    ``covariances`` and ``generator`` are None at an axis value that draws
-    nothing (see ``_draws``).
+    Optimal and worst-case pilots read the covariance spectra alone, for the
+    closed form and, with ``trials > 0``, for the Monte-Carlo gains
+    (``training._eigen_trial_gains``); they build no blocks. Random pilots
+    draw from ``generator`` and build their blocks and their checked
+    ``L x L`` training system once. Each scenario solves its system at most
+    once (``training._filter``), and the closed form and the Monte-Carlo
+    filter share that solve. ``covariances`` and ``generator`` are None at
+    an axis value that draws nothing (see ``_draws``).
     """
-    random_pilots = scenario.pilot_design == "random-unitary"
-    if random_pilots or trials > 0:
-        bs_cov, jam_cov = covariances
-        pilots = _build_pilots(scenario.pilot_design, bs_cov, cfg.pilot_length, generator)
-        jamming = _build_jamming(scenario.jamming, jam_cov, cfg)
-        system = _scenario_terms(pilots, jamming, bs_cov, jam_cov, cfg, scenario.estimator_mode)
-    if random_pilots:
-        closed = _closed_form(*system)
-    else:
-        closed = _closed_form(
-            *_eigen_system(scenario.pilot_design, scenario.jamming, cfg),
-            scenario.estimator_mode == "jammer-aware",
-        )
-    gains = None
-    if trials > 0:
-        gains = _trial_gains(pilots, jamming, bs_cov, jam_cov, cfg, _filter(*system))
-    return closed, gains
+    if scenario.pilot_design != "random-unitary":
+        system = (*_eigen_system(scenario.pilot_design, scenario.jamming, cfg),
+                  scenario.estimator_mode == "jammer-aware")
+        # only single-shot jamming leaves a matrix to solve
+        w = _filter(*system) if scenario.jamming == "single-shot" else None
+        closed = _closed_form(*system, w)
+        if trials == 0:
+            return closed, None
+        return closed, _eigen_trial_gains(scenario.pilot_design, *covariances, cfg, system, w)
+    bs_cov, jam_cov = covariances
+    pilots = random_unitary_pilots(bs_cov.size, cfg.pilot_length, generator)
+    jamming = _build_jamming(scenario.jamming, jam_cov, cfg)
+    system = _scenario_terms(pilots, jamming, bs_cov, jam_cov, cfg, scenario.estimator_mode)
+    w = _filter(*system)
+    closed = _closed_form(*system, w)
+    if trials == 0:
+        return closed, None
+    return closed, _trial_gains(pilots, jamming, bs_cov, jam_cov, cfg, w)
 
 
 def _evaluate_point(

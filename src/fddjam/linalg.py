@@ -10,6 +10,8 @@ the dtypes allow it: ``solve_hpd`` solves a real system in float64,
 GEMM, and the Monte-Carlo trials of ``training._monte_carlo`` (reached
 through ``experiments.run_sweep`` and ``fddjam mse``) run on the raw normal
 draws, as real and imaginary planes, in the eigenbasis of the covariance.
+There, optimal and worst-case pilots run their trial from the spectra,
+elementwise on the rows they select, and random pilots run it dense.
 Channel vectors are 1-d; batches are stacked column-wise.
 """
 

@@ -339,7 +339,7 @@ def _filter(terms, jam, jammer_aware: bool) -> np.ndarray:
     return solve_hpd(_estimator_k(_as_matrix(k), jam, jammer_aware), _as_matrix(g).conj().T)
 
 
-def _closed_form(terms, jam, jammer_aware: bool) -> float | list[float]:
+def _closed_form(terms, jam, jammer_aware: bool, w=None) -> float | list[float]:
     """Per-antenna MSE from the ``L x L`` training system.
 
     ``terms`` is ``(K, G, tr C, M)`` with ``GᴴG = PᴴC²P``; ``jam`` is the
@@ -352,9 +352,11 @@ def _closed_form(terms, jam, jammer_aware: bool) -> float | list[float]:
 
     When every input is 1-D the system is solved elementwise; otherwise one
     solve gives ``W``, and a 1-D ``G`` then scales its columns instead of
-    multiplying by ``diag(G)``. ``GᴴG`` is never formed: with a
-    rank-deficient ``C`` its round-off, amplified by the jamming, cost the
-    unaware value about 1e-10 against the full-dimension formula.
+    multiplying by ``diag(G)``. A caller that has made that solve already,
+    for its Monte-Carlo filter, passes it as ``w`` and it is not repeated.
+    ``GᴴG`` is never formed: with a rank-deficient ``C`` its round-off,
+    amplified by the jamming, cost the unaware value about 1e-10 against the
+    full-dimension formula.
 
     ``J`` may also be an ``(n, L, L)`` stack of jamming terms, for either
     estimator: one stacked solve then gives a list of ``n`` MSEs, each with
@@ -377,7 +379,8 @@ def _closed_form(terms, jam, jammer_aware: bool) -> float | list[float]:
         if leaves_out:
             value += float(np.sum((jam / k_est) * x))
         return _checked_mse(value, trace_c, num_antennas, leaves_out)
-    w = _filter(terms, jam, jammer_aware)
+    if w is None:
+        w = _filter(terms, jam, jammer_aware)
     # a 1-D G scales columns: the same bits as a product with diag(G)
     x = w * g if np.ndim(g) == 1 else w @ g
     values = trace_c - np.trace(x, axis1=-2, axis2=-1).real
@@ -448,10 +451,13 @@ def _planes_times(gain: np.ndarray, x: np.ndarray) -> np.ndarray:
 
     ``x`` is a ``(2, n, k)`` float64 array holding the real plane, then the
     imaginary plane, of an ``(n, k)`` block; the result holds those of the
-    ``(m, k)`` product. A float64 gain multiplies each plane as a real
-    matrix. A complex gain multiplies the ``(2n, k)`` view as its real
-    block ``[[Gr, -Gi], [Gi, Gr]]``.
+    ``(m, k)`` product. A 1-D gain is the diagonal of a real matrix, as in
+    ``_closed_form``, and scales the rows of each plane. A float64 gain
+    multiplies each plane as a real matrix. A complex gain multiplies the
+    ``(2n, k)`` view as its real block ``[[Gr, -Gi], [Gi, Gr]]``.
     """
+    if gain.ndim == 1:
+        return gain[:, None] * x
     if not np.iscomplexobj(gain):
         return gain @ x
     block = np.block([[gain.real, -gain.imag], [gain.imag, gain.real]])
@@ -470,14 +476,15 @@ def _trial_gains(
     jam_cov: ChannelCovariance | None,
     cfg: TrainingConfig,
     w: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """``(B, B_j, UᴴA)`` of one scenario's Monte-Carlo trial (see ``_monte_carlo``).
+) -> tuple[slice, np.ndarray, np.ndarray | None, np.ndarray]:
+    """Dense ``(rows, B, B_j, UᴴA)`` of a scenario's Monte-Carlo trial (see ``_monte_carlo``).
 
     ``B = sqrt(L·P_b)·PᴴU·diag(s)`` takes the channel planes ``e`` into the
     received block and ``B_j`` (None for a silent jammer) the jammer's.
     From the scenario's solve ``w``, ``W = K_est⁻¹Gᴴ`` of ``_filter``, the
     MMSE filter is ``A = Wᴴ / sqrt(L·P_b)`` (the estimate is ``A @ y``),
-    returned in the eigenbasis of ``C = UΛUᴴ``.
+    returned in the eigenbasis of ``C = UΛUᴴ``. Any pilots see every row of
+    that basis, so ``rows`` is all ``M`` of them.
     """
     length = pilots.length
     a = w.conj().T / np.sqrt(length * cfg.bs_power)
@@ -489,7 +496,87 @@ def _trial_gains(
         jam_gain = np.sqrt(length * cfg.jammer_power) * (
             jamming.matrix.conj().T @ jam_cov.eigenvectors
         ) * _scales(jam_cov)
-    return bs_gain, jam_gain, bs_cov.eigenvectors.conj().T @ a
+    return slice(0, bs_cov.size), bs_gain, jam_gain, bs_cov.eigenvectors.conj().T @ a
+
+
+def _eigen_trial_gains(
+    design: str,
+    bs_cov: ChannelCovariance,
+    jam_cov: ChannelCovariance,
+    cfg: TrainingConfig,
+    system,
+    w: np.ndarray | None,
+) -> tuple[slice, np.ndarray, np.ndarray | None, np.ndarray]:
+    """``(S, B, B_j, A)`` of an optimal or worst-case pilot scenario's trial, from the spectra.
+
+    The pilots are the eigenvectors ``S`` of ``C = UΛUᴴ``, rows ``0..L-1``
+    of its eigenbasis for optimal pilots and ``M-L..M-1`` for worst-case
+    ones. So ``B = sqrt(L·P_b)·s_S`` is 1-D and scales the rows ``S`` of the
+    channel planes, and ``A`` estimates those rows alone. ``system`` is
+    ``(terms, J, jammer_aware)`` with the terms and ``J`` of
+    ``_eigen_system``, whose form names the jamming:
+    - silent (``J`` None): ``B_j`` is None;
+    - eigen-optimal (1-D ``J``): ``B_j = sqrt(L·P_j)·s_j[:L]`` scales the
+      first ``L`` rows of the jammer planes;
+    - single-shot (matrix ``J``): ``B_j = sqrt(L·P_j)·U_j[:L, :]·diag(s_j)``,
+      a row slice with no product.
+
+    ``K_est`` is diagonal unless the jammer-aware estimator models
+    single-shot jamming. The filter is then the 1-D
+    ``g / k_est / sqrt(L·P_b)``; otherwise it is ``Wᴴ / sqrt(L·P_b)``, with
+    ``w`` the caller's solve ``W`` of ``_filter(*system)``.
+    """
+    m, length = cfg.num_bs_antennas, cfg.pilot_length
+    rows = slice(0, length) if design == "optimal" else slice(m - length, m)
+    (k, g, *_), jam, aware = system
+    a = w.T if aware and np.ndim(jam) == 2 else g / _estimator_k(k, jam, aware)
+    a = a / np.sqrt(length * cfg.bs_power)
+    bs_gain = np.sqrt(length * cfg.bs_power) * _scales(bs_cov)[rows]
+    jam_gain = None
+    if jam is not None:
+        root = np.sqrt(length * cfg.jammer_power)
+        if np.ndim(jam) == 2:
+            jam_gain = root * jam_cov.eigenvectors[:length] * _scales(jam_cov)
+        else:
+            jam_gain = root * _scales(jam_cov)[:length]
+    return rows, bs_gain, jam_gain, a
+
+
+def _squared_errors(gains, s: np.ndarray, e: np.ndarray, g: np.ndarray | None,
+                    noise: np.ndarray) -> np.ndarray:
+    """Each scenario's per-trial ``|s·e - UᴴAy|²`` on one chunk's planes.
+
+    ``gains`` holds one ``(rows, B, B_j, A)`` per scenario (``_trial_gains``
+    or ``_eigen_trial_gains``), ``noise`` is already scaled, and the result
+    has one row per scenario and one column per trial. ``B`` acts on the
+    channel planes ``e[:, rows]`` and ``B_j`` on the jammer planes ``g``, on
+    their first ``L`` rows when it is 1-D. ``A`` estimates ``rows`` of the
+    whitened channel ``s·e``. The rows outside ``rows`` are estimated as
+    zero, so their error is ``Σ s_i²|e_i|²``: it is summed once for each
+    distinct ``rows``, not subtracted from a total, which cancels when few
+    rows are left.
+    """
+    m, length = e.shape[1], noise.shape[1]
+    whitened = s[:, None] * e
+    rest_energy = {}
+    out = np.empty((len(gains), e.shape[2]))
+    for row, (rows, bs_gain, jam_gain, a) in zip(out, gains):
+        y = _planes_times(bs_gain, e[:, rows])
+        if jam_gain is not None:
+            y += _planes_times(jam_gain, g if jam_gain.ndim == 2 else g[:, :length])
+        y += noise
+        err = _planes_times(a, y)
+        err -= whitened[:, rows]
+        row[:] = np.einsum("ijk,ijk->k", err, err)
+        # rows is a prefix or a suffix of the M rows
+        rest = slice(rows.stop, m) if rows.start == 0 else slice(0, rows.start)
+        if rest.start < rest.stop:
+            key = (rest.start, rest.stop)
+            if key not in rest_energy:
+                left = whitened[:, rest]
+                rest_energy[key] = np.einsum("ijk,ijk->k", left, left)
+            row += rest_energy[key]
+    return out
 
 
 def _monte_carlo(
@@ -501,43 +588,47 @@ def _monte_carlo(
     Each trial draws a channel, a jammer channel and noise, runs each
     scenario's (possibly mismatched) MMSE estimator on the received block
     and takes the per-antenna squared error; ``gains`` holds one
-    ``_trial_gains`` triple per scenario. Trials run in chunks of
-    ``_MC_CHUNK``, each from its own stream spawned off ``rng``, so the
-    results depend only on the generator state and ``trials``, not on how
-    chunks are scheduled. Each mean uses numpy's pairwise summation.
+    ``_trial_gains`` or ``_eigen_trial_gains`` tuple per scenario. Trials
+    run in chunks of ``_MC_CHUNK``, each from its own stream spawned off
+    ``rng``, so the results depend only on the generator state and
+    ``trials``, not on how chunks are scheduled. Each mean uses numpy's
+    pairwise summation.
 
     A trial runs in the eigenbasis of ``C = UΛUᴴ`` on the raw normals: the
     channel is ``h = U·s·e`` with ``s = sqrt(Λ/2)`` and ``e`` the real and
     imaginary planes of one ``standard_normal`` draw, and the jammer's
     channel likewise. With the filter ``A``, the error is measured as
     ``s·e - UᴴAy``, whose norm is that of ``h - Ay`` because ``U`` is
-    unitary. Every product with a float64 matrix is real (``_planes_times``).
+    unitary (``_squared_errors``). Every product with a float64 matrix is
+    real (``_planes_times``).
+
+    Optimal and worst-case pilots run their trial from the spectra: their
+    pilots are ``L`` eigenvectors of ``C``, so the channel gain and, unless
+    the jammer-aware estimator models single-shot jamming, the filter act
+    elementwise on ``L`` rows of the eigenbasis. Only single-shot jamming's
+    ``L x N`` gain and that one ``L x L`` filter are products. Random
+    pilots run the dense trial, with ``L x M``, ``L x N`` and ``M x L``
+    products.
 
     Each chunk draws the planes ``e``, then ``g`` when some scenario jams,
     then ``n``, once, and each scenario forms its own ``y = B e + B_j g +
     σn`` from them (common random numbers; see ``experiments.run_sweep``).
     """
-    m = cfg.num_bs_antennas
     s = _scales(bs_cov)
     noise_scale = np.sqrt(cfg.noise_variance * 0.5)
-    jams = any(jam_gain is not None for _, jam_gain, _ in gains)
+    jams = any(jam_gain is not None for _, _, jam_gain, _ in gains)
     per_trial = np.empty((len(gains), trials))
     n_chunks = -(-trials // _MC_CHUNK)
     start = 0
     for stream in rng.spawn(n_chunks):
         k = min(_MC_CHUNK, trials - start)
-        e = stream.standard_normal((2, m, k))
+        e = stream.standard_normal((2, cfg.num_bs_antennas, k))
         g = stream.standard_normal((2, cfg.num_jammer_antennas, k)) if jams else None
         noise = stream.standard_normal((2, cfg.pilot_length, k))
         noise *= noise_scale
-        for row, (bs_gain, jam_gain, w) in zip(per_trial, gains):
-            y = _planes_times(bs_gain, e)
-            if jam_gain is not None:
-                y += _planes_times(jam_gain, g)
-            y += noise
-            err = _planes_times(w, y)
-            err -= s[:, None] * e
-            row[start : start + k] = np.einsum("ijk,ijk->k", err, err) / m
+        per_trial[:, start : start + k] = (
+            _squared_errors(gains, s, e, g, noise) / cfg.num_bs_antennas
+        )
         start += k
     return [
         MonteCarloMse(
@@ -546,4 +637,3 @@ def _monte_carlo(
         )
         for row in per_trial
     ]
-

@@ -9,9 +9,11 @@ one-scenario helpers ``mmse_filter`` and ``monte_carlo_mse`` are not
 oracles: they run the library's own filter and Monte-Carlo loop, as a
 sweep does, for tests of one scenario. The complex-vector Monte-Carlo
 trial after them is a round-off reference for the whitened real one, with
-the same filter. The shared-draws sweep loop at the very end is a
-bit-for-bit reference too: it runs each scenario's trial on its own, on
-draws made once for all scenarios.
+the same filter, and the dense whitened trial is in turn the round-off
+reference for the spectral trial of eigen pilots. The shared-draws sweep
+loop at the very end is a bit-for-bit reference too: it runs each
+scenario's trial on its own, on draws made once for all scenarios, with
+the spectral trial written out for eigen pilots.
 """
 
 import math
@@ -28,6 +30,7 @@ from fddjam.training import (
     MonteCarloMse,
     _check_dimensions,
     _closed_form,
+    _eigen_system,
     _filter,
     _jamming_term,
     _monte_carlo,
@@ -317,13 +320,60 @@ def whitened_trials(pilots, jamming, bs_cov, jam_cov, cfg, estimator_mode, e, g,
     return np.einsum("ijk,ijk->k", err, err) / cfg.num_bs_antennas
 
 
+def spectral_trials(design, jamming, bs_cov, jam_cov, cfg, estimator_mode, e, g, n):
+    """Per-trial squared errors of an optimal or worst-case pilot scenario on
+    the given normal planes, with the arithmetic of the library's spectral
+    trial written out for one scenario.
+
+    The pilots see the rows ``S`` of the eigenbasis that they select, so the
+    channel gain and, unless the jammer-aware estimator models single-shot
+    jamming, the filter are elementwise on those rows; the other rows add
+    their whitened energy. The filter and the closed-form inputs are the
+    library's (``_eigen_system`` and ``_filter``).
+    """
+    m, length = cfg.num_bs_antennas, cfg.pilot_length
+    if design == "optimal":
+        rows, rest = slice(0, length), slice(length, m)
+    else:
+        rows, rest = slice(m - length, m), slice(0, m - length)
+    terms, jam = _eigen_system(design, jamming, cfg)
+    k, gs, *_ = terms
+    aware = estimator_mode == "jammer-aware"
+    root = np.sqrt(length * cfg.bs_power)
+    if jamming == "single-shot" and aware:
+        a = _filter(terms, jam, True).T / root
+    elif jamming == "eigen-optimal" and aware:
+        a = gs / (k + jam) / root
+    else:
+        a = gs / k / root
+
+    def scales(cov):
+        return np.sqrt(0.5) * np.sqrt(np.clip(cov.eigenvalues, 0.0, None))
+
+    s = scales(bs_cov)
+    y = (root * s[rows])[:, None] * e[:, rows]
+    jam_root = np.sqrt(length * cfg.jammer_power)
+    if jamming == "single-shot":
+        y += (jam_root * jam_cov.eigenvectors[:length] * scales(jam_cov)) @ g
+    elif jamming == "eigen-optimal":
+        y += (jam_root * scales(jam_cov)[:length])[:, None] * g[:, :length]
+    y += np.sqrt(cfg.noise_variance * 0.5) * n
+    err = a @ y if a.ndim == 2 else a[:, None] * y
+    whitened = s[:, None] * e
+    err -= whitened[:, rows]
+    left = whitened[:, rest]
+    squared = np.einsum("ijk,ijk->k", err, err) + np.einsum("ijk,ijk->k", left, left)
+    return squared / m
+
+
 def shared_draws_axis_value(cfg, scenarios, trials, seed):
     """``(mean, std_error)`` of each scenario of one sweep axis value.
 
     One generator seeded with ``seed`` draws each random-unitary scenario's
     pilots in scenario order, then spawns the trial chunks. Each chunk
     draws ``e``, then ``g`` if any scenario jams, then ``n``, once, and every
-    scenario's trial runs on those planes (``whitened_trials``).
+    scenario's trial runs on those planes: ``spectral_trials`` for optimal
+    and worst-case pilots, ``whitened_trials`` for random ones.
     """
     bs_cov = exponential_covariance(cfg.num_bs_antennas, cfg.bs_correlation)
     jam_cov = exponential_covariance(cfg.num_jammer_antennas, cfg.jammer_correlation)
@@ -350,9 +400,14 @@ def shared_draws_axis_value(cfg, scenarios, trials, seed):
         e = stream.standard_normal((2, cfg.num_bs_antennas, k))
         g = stream.standard_normal((2, cfg.num_jammer_antennas, k)) if jams else None
         n = stream.standard_normal((2, length, k))
-        for row, (pilots, jamming, mode) in zip(per_trial, blocks):
-            row[start : start + k] = whitened_trials(
-                pilots, jamming, bs_cov, jam_cov, cfg, mode, e, g, n
-            )
+        for row, scenario, (pilots, jamming, mode) in zip(per_trial, scenarios, blocks):
+            if scenario.pilot_design == "random-unitary":
+                row[start : start + k] = whitened_trials(
+                    pilots, jamming, bs_cov, jam_cov, cfg, mode, e, g, n
+                )
+            else:
+                row[start : start + k] = spectral_trials(
+                    scenario.pilot_design, scenario.jamming, bs_cov, jam_cov, cfg, mode, e, g, n
+                )
         start += k
     return [(float(row.mean()), float(row.std(ddof=1) / np.sqrt(trials))) for row in per_trial]

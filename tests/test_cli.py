@@ -9,6 +9,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -20,6 +21,7 @@ from fddjam import experiments
 from fddjam.experiments import JAMMING_CHOICES, load_metadata_spec, read_results
 from fddjam.linalg import _bundled_openblas
 from fddjam.training import ESTIMATOR_MODES, PILOT_DESIGNS
+from test_experiments import CountingGenerator
 
 
 def run_cli(capsys, argv):
@@ -314,6 +316,29 @@ class TestSweepCommand:
             "matrix is not positive definite" in done.stderr
         )
         assert not (tmp_path / "singular-sweep.csv").exists()
+
+    def test_singular_sweep_with_trials_fails_before_any_draw(self, capsys, monkeypatch,
+                                                              tmp_path):
+        payload = json.loads((Path(__file__).resolve().parent / "data" /
+                              "singular-sweep.json").read_text())
+        payload["monte_carlo_trials"] = 10
+        config = tmp_path / "singular-mc.json"
+        config.write_text(json.dumps(payload))
+        monkeypatch.setenv("FDDJAM_WORKERS", "1")
+        sizes = []
+        default_rng = np.random.default_rng
+        monkeypatch.setattr(
+            np.random, "default_rng", lambda seed: CountingGenerator(default_rng(seed), sizes)
+        )
+        with pytest.warns(RuntimeWarning, match="rank-one"):
+            code, _, err = run_cli(
+                capsys, ["sweep", "--config", str(config), "--out", str(tmp_path)]
+            )
+        assert code == 1
+        assert ("error: axis value 2, scenario optimal/silent/jammer-aware: "
+                "matrix is not positive definite") in err
+        assert sizes == []
+        assert not (tmp_path / "singular-mc.csv").exists()
 
     def test_missing_config_file_nonzero(self, capsys, tmp_path):
         code, _, err = run_cli(

@@ -45,6 +45,11 @@ REFERENCE_DIR = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 # share one set of Monte-Carlo draws (version 0.2.0).
 FIGURE2_MC50 = Path(__file__).resolve().parent / "data" / "figure2-mc50.csv"
 
+# `fddjam figure 3 --trials 20` (version 0.2.0). Its axis is the array size,
+# so the eigenbasis rows that optimal and worst-case pilots leave out change
+# at every axis value.
+FIGURE3_MC20 = Path(__file__).resolve().parent / "data" / "figure3-mc20.csv"
+
 # The shipped sweep with random pilots and trials, and its CSV as
 # `FDDJAM_WORKERS=1 fddjam sweep` wrote it (version 0.2.0).
 RANDOM_PILOT_MC = Path(__file__).resolve().parent / "data" / "random-pilot-mc-sweep.json"
@@ -351,10 +356,17 @@ class TestPointSeeds:
         write_results(run_sweep(random_pilot_mc_spec(), workers=workers), path)
         assert path.read_bytes() == RANDOM_PILOT_MC.with_suffix(".csv").read_bytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_figure_three_csv_bytes_match_stored_run(self, tmp_path, workers):
+        path = tmp_path / "figure3.csv"
+        write_results(run_sweep(figure_spec(3, monte_carlo_trials=20), workers=workers), path)
+        assert path.read_bytes() == FIGURE3_MC20.read_bytes()
+
 
 class TestSystemBuilds:
-    """Each scenario that builds blocks builds its L x L training system once:
-    the closed form of random pilots and the Monte-Carlo filter share it."""
+    """Random pilots build their L x L training system once, and eigen
+    pilots build none from blocks; a scenario solves its system at most
+    once, for its closed form and its Monte-Carlo filter."""
 
     @staticmethod
     def count_calls(monkeypatch):
@@ -373,15 +385,20 @@ class TestSystemBuilds:
         calls = self.count_calls(monkeypatch)
         rows = run_sweep(random_pilot_mc_spec(), workers=1)
         assert len(rows) == 6
-        # one closed-form solve and one filter solve per row
-        assert calls == {"_pilot_terms": 6, "solve_hpd": 12}
+        # one solve per row, shared by the closed form and the filter
+        assert calls == {"_pilot_terms": 6, "solve_hpd": 6}
 
     def test_figure_two_with_trials_builds_one_system_per_row(self, monkeypatch):
         calls = self.count_calls(monkeypatch)
+        built = []
+        monkeypatch.setattr(training.UnitaryBlock, "__post_init__",
+                            lambda block: built.append(block))
         rows = run_sweep(figure_spec(2, monte_carlo_trials=50), workers=1)
         assert len(rows) == 100
-        # a filter solve per row and a closed-form solve per single-shot row
-        assert calls == {"_pilot_terms": 100, "solve_hpd": 120}
+        # eigen pilots trial from the spectra; only the single-shot aware
+        # row of each axis value solves, once
+        assert calls == {"_pilot_terms": 0, "solve_hpd": 20}
+        assert built == []
 
 
 class TestRandomPilotClosedForm:
@@ -421,9 +438,10 @@ class CountingGenerator:
     def spawn(self, n):
         return [CountingGenerator(g, self.sizes) for g in self.generator.spawn(n)]
 
-    def standard_normal(self, size):
-        self.sizes.append(int(np.prod(size)))
-        return self.generator.standard_normal(size)
+    def standard_normal(self, size=None, **kwargs):
+        drawn = self.generator.standard_normal(size, **kwargs)
+        self.sizes.append(int(np.size(drawn)))
+        return drawn
 
     def __getattr__(self, name):
         return getattr(self.generator, name)

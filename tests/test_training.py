@@ -14,6 +14,7 @@ from fddjam.experiments import (
     _build_pilots,
     _covariances,
     _evaluate_point,
+    _evaluate_scenario,
     config_for_point,
     figure_spec,
 )
@@ -31,6 +32,8 @@ from fddjam.training import (
     _jamming_term,
     _pilot_terms,
     _planes_times,
+    _scales,
+    _squared_errors,
     optimal_pilots,
     random_unitary_pilots,
     scenario_closed_form_mse,
@@ -42,6 +45,7 @@ from oracles import (
     full_dimension_mse,
     mmse_filter,
     monte_carlo_mse,
+    whitened_trials,
 )
 
 # Smallest admissible eigenvalue of the estimation-error covariance.
@@ -798,6 +802,11 @@ class TestWhitenedMonteCarlo:
         got = _planes_times(gain, x)
         assert np.array_equal(got[0], gain @ x[0]) and np.array_equal(got[1], gain @ x[1])
 
+    def test_vector_gain_is_a_diagonal_matrix(self):
+        rng = np.random.default_rng(6)
+        gain, x = rng.standard_normal(4), rng.standard_normal((2, 4, 9))
+        assert np.array_equal(_planes_times(gain, x), np.diag(gain) @ x)
+
     @pytest.mark.parametrize("imaginary", [0.0, 1.0])
     def test_planes_product_is_the_complex_product(self, imaginary):
         rng = np.random.default_rng(4)
@@ -807,3 +816,32 @@ class TestWhitenedMonteCarlo:
         want = gain @ (x[0] + 1j * x[1])
         assert got.shape == (2, 5, 9)
         np.testing.assert_allclose(got[0] + 1j * got[1], want, rtol=1e-13, atol=1e-13)
+
+
+class TestSpectralTrial:
+    """Eigen pilots run their Monte-Carlo trial from the spectra; per trial it
+    matches the dense whitened trial on the same planes to round-off."""
+
+    @pytest.mark.filterwarnings("ignore:correlation coefficient 1:RuntimeWarning")
+    @pytest.mark.parametrize("r", [0.7, 1.0], ids=["r0.7", "rank-one"])
+    @pytest.mark.parametrize("M,L", [(8, 1), (8, 7), (8, 8), (16, 1), (16, 15), (16, 16)])
+    def test_matches_dense_trial_per_trial(self, M, L, r):
+        cfg = make_cfg(M=M, N=M, L=L, r=r, rg=0.5)
+        bs_cov, jam_cov = _covariances(cfg)
+        rng = np.random.default_rng(M * L)
+        e, g, n = (rng.standard_normal((2, rows, 64)) for rows in (M, M, L))
+        cases = [(design, jamming, mode) for design in ("optimal", "worst-case")
+                 for jamming in JAMMING_CHOICES for mode in ESTIMATOR_MODES]
+        # one call for every case, as a sweep's chunk shares its planes
+        gains = [
+            _evaluate_scenario(cfg, Scenario(*case), 1, (bs_cov, jam_cov), None)[1]
+            for case in cases
+        ]
+        noise = np.sqrt(cfg.noise_variance * 0.5) * n
+        got = _squared_errors(gains, _scales(bs_cov), e, g, noise) / M
+        for row, (design, jamming, mode) in zip(got, cases):
+            pilots = _build_pilots(design, bs_cov, L, None)
+            block = _build_jamming(jamming, jam_cov, cfg)
+            want = whitened_trials(pilots, block, bs_cov, jam_cov, cfg, mode, e, g, n)
+            np.testing.assert_allclose(row, want, rtol=1e-12, atol=0,
+                                       err_msg=f"{design}/{jamming}/{mode}")
