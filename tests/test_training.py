@@ -826,7 +826,17 @@ class TestSpectralTrial:
     @pytest.mark.parametrize("r", [0.7, 1.0], ids=["r0.7", "rank-one"])
     @pytest.mark.parametrize("M,L", [(8, 1), (8, 7), (8, 8), (16, 1), (16, 15), (16, 16)])
     def test_matches_dense_trial_per_trial(self, M, L, r):
-        cfg = make_cfg(M=M, N=M, L=L, r=r, rg=0.5)
+        self.check(make_cfg(M=M, N=M, L=L, r=r, rg=0.5))
+
+    def test_left_out_row_energy_keeps_its_digits(self):
+        # At 40 dB the selected rows' error is small and the one left-out row
+        # is weak (r = 0.99): taking its energy as all rows' energy minus the
+        # selected rows' loses about 1e-11 relative per trial.
+        self.check(make_cfg(M=8, N=8, L=7, r=0.99, rg=0.5, pb=40.0))
+
+    @staticmethod
+    def check(cfg):
+        M, L = cfg.num_bs_antennas, cfg.pilot_length
         bs_cov, jam_cov = _covariances(cfg)
         rng = np.random.default_rng(M * L)
         e, g, n = (rng.standard_normal((2, rows, 64)) for rows in (M, M, L))
