@@ -15,7 +15,6 @@ import dataclasses
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
@@ -370,6 +369,9 @@ def run_sweep(spec: ExperimentSpec, *, workers: int | None = None) -> list[Resul
     workers = min(resolve_workers(workers), n)
     with _single_blas_thread():
         if workers > 1 and _draws(spec.scenarios, spec.monte_carlo_trials):
+            # imported here, so that runs which start no pool do not load multiprocessing
+            from concurrent.futures import ProcessPoolExecutor
+
             with ProcessPoolExecutor(max_workers=workers, initializer=_one_blas_thread) as pool:
                 chunks = list(pool.map(_evaluate_axis_value, [spec] * n, range(n)))
         else:

@@ -11,12 +11,15 @@ of assuming it.
 
 from __future__ import annotations
 
+import contextlib
+import queue
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from .channel import ChannelCovariance
-from .linalg import _count, _real_times, haar_orthonormal_columns
+from .linalg import _complex_normals, _count, _haar_q, _real_times
 from .tolerances import KY_FAN_SLACK
 from .training import (
     TrainingConfig,
@@ -40,8 +43,8 @@ __all__ = [
 # numpy's per-call overhead. A block of N x L costs its share of one stacked
 # QR, one real N x N by N x 2L product C_jZ, one L x N x L congruence and one
 # L x L Cholesky check and solve with L right-hand sides. A call holds one
-# workspace for a stack, 32 * (6 N L + 2 L^2) float64s (the normals, the
-# Gaussian blocks, C_jZ and J): 1.6 MiB at 64x16.
+# workspace for a stack, 32 * (8 N L + 2 L^2) float64s (the normals, two
+# draw buffers of Gaussian blocks, C_jZ and J): 2.1 MiB at 64x16.
 _LEMMA_STACK = 32
 
 
@@ -63,6 +66,50 @@ def single_shot_jamming(num_antennas: int, pilot_length: int) -> UnitaryBlock:
     num_antennas = _count(num_antennas, "num_antennas", 1)
     pilot_length = _count(pilot_length, _BLOCK_LENGTH, 1, num_antennas)
     return UnitaryBlock(np.eye(num_antennas, pilot_length))
+
+
+def _drawn_ahead(draw, count: int, rng: np.random.Generator):
+    """Yield ``draw(0), ..., draw(count - 1)``, each made on one helper
+    thread: ``draw(i + 1)`` runs while the caller works on ``draw(i)``.
+
+    ``draw`` takes numbers from ``rng`` in call order, and the caller must
+    not use ``rng`` or what ``draw(i + 1)`` writes until it is yielded. A
+    draw's exception is raised to the caller when it asks for that draw.
+    Closed early, the generator waits for the draw in flight and sets
+    ``rng`` back to its state after the last draw yielded, then joins the
+    helper, so no draw the caller did not ask for leaks into ``rng``.
+    """
+    todo, done = queue.SimpleQueue(), queue.SimpleQueue()
+
+    def helper():
+        while (i := todo.get()) is not None:
+            try:
+                done.put((draw(i), None))
+            except BaseException as exc:  # raised again on the calling thread
+                done.put((None, exc))
+
+    thread = threading.Thread(target=helper, name="fddjam-lemma-draw")
+    thread.start()
+    pending, state = count > 0, None
+    try:
+        if pending:
+            todo.put(0)
+        for i in range(count):
+            drawn, exc = done.get()
+            pending = False
+            if exc is not None:
+                raise exc
+            if i + 1 < count:
+                state = rng.bit_generator.state
+                todo.put(i + 1)
+                pending = True
+            yield drawn
+    finally:
+        if pending:
+            done.get()
+            rng.bit_generator.state = state
+        todo.put(None)
+        thread.join()
 
 
 def _lemma_terms(pilots: UnitaryBlock, bs_cov: ChannelCovariance, cfg: TrainingConfig):
@@ -122,14 +169,19 @@ def verify_lemma(
     which scaled is ``J``, and one ``L x L`` solve.
 
     Candidates are drawn from ``rng`` and evaluated in stacks of
-    ``_LEMMA_STACK``, with one stacked call per step, on the calling thread.
-    The normals, the Gaussian blocks, ``C_jam Z`` and ``J`` are written into
-    one workspace per call, which the last, partial stack uses a leading
-    slice of; only the QR and the solve allocate per stack. The verdict, and
-    ``rng``'s state after the call, are bit for bit those of drawing and
-    evaluating the candidates one at a time. A stack that fails a check
-    raises what its stacked call raises, once ``rng`` has drawn the whole
-    stack. With one failing candidate in the stack, that is the type and
+    ``_LEMMA_STACK``, with one stacked call per step, as a two-stage
+    pipeline: one helper thread draws the next stack's normals and Gaussian
+    blocks (``linalg._complex_normals``, in stack order) while the calling
+    thread runs this stack's QR (``linalg._haar_q``) and evaluation, and
+    folds the maxima in candidate order. The helper lives for one call.
+    The normals, two draw buffers of Gaussian blocks, ``C_jam Z`` and ``J``
+    are written into one workspace per call, which the last, partial stack
+    uses a leading slice of; only the QR and the solve allocate per stack.
+    The verdict, and ``rng``'s state after the call, are bit for bit those
+    of drawing and evaluating the candidates one at a time. A stack that
+    fails a check raises what its stacked call raises, once ``rng`` has
+    drawn the whole stack and no more: the next stack's draw, made ahead,
+    is undone. With one failing candidate in the stack, that is the type and
     message the candidate raises alone: ``solve_hpd``'s messages do not
     depend on the other candidates, and each MSE is checked in candidate
     order. Only a stack whose candidates fail different checks raises the
@@ -160,27 +212,33 @@ def verify_lemma(
     (optimal_objective,), (optimal_mse,) = evaluate(
         z, np.empty(z.shape, dtype), np.empty((1, length, length), dtype)
     )
-    # One buffer holds the normals, the Gaussian blocks, C_jZ and J. As four
+    # One buffer holds the normals, two draw buffers, C_jZ and J. As four
     # arrays, a warm 64x16 call took 1,800-2,900 minor page faults in some
     # process layouts, as one buffer 0-910 in every layout tried.
     stack, n = min(_LEMMA_STACK, num_random), jam_cov.size
     block, square = 2 * stack * n * length, 2 * stack * length * length
-    workspace = np.empty(3 * block + square)
+    workspace = np.empty(4 * block + square)
     normals = workspace[:block].reshape(stack, 2, n, length)
-    blocks, cz = (
+    *drawn, cz = (
         workspace[i * block:(i + 1) * block].view(np.complex128).reshape(stack, n, length)
-        for i in (1, 2)
+        for i in (1, 2, 3)
     )
-    jam = workspace[3 * block:].view(np.complex128).reshape(stack, length, length)
-    objectives, mses = [], []
-    for start in range(0, num_random, _LEMMA_STACK):
-        size = min(_LEMMA_STACK, num_random - start)
-        zs = haar_orthonormal_columns(
-            n, length, rng, size, workspace=(normals[:size], blocks[:size])
+    jam = workspace[4 * block:].view(np.complex128).reshape(stack, length, length)
+    sizes = [min(_LEMMA_STACK, num_random - start) for start in range(0, num_random, _LEMMA_STACK)]
+
+    def draw(i):
+        """Stack ``i``'s Gaussian blocks, into draw buffer ``i % 2``."""
+        size = sizes[i]
+        return _complex_normals(
+            rng, (size, n, length), np.sqrt(0.5), (normals[:size], drawn[i % 2][:size])
         )
-        stack_objectives, stack_mses = evaluate(zs, cz[:size], jam[:size])
-        objectives += stack_objectives
-        mses += stack_mses
+
+    objectives, mses = [], []
+    with contextlib.closing(_drawn_ahead(draw, len(sizes), rng)) as stacks:
+        for x in stacks:
+            stack_objectives, stack_mses = evaluate(_haar_q(x), cz[:len(x)], jam[:len(x)])
+            objectives += stack_objectives
+            mses += stack_mses
     best_objective = max(objectives, default=None)
     best_mse = max(mses, default=None)
 

@@ -195,13 +195,21 @@ def haar_orthonormal_columns(
     rows = _count(rows, "rows", 1)
     cols = _count(cols, "cols", 1, rows)
     size = 1 if count is None else _count(count, "count", 1)
-    x = _complex_normals(rng, (size, rows, cols), np.sqrt(0.5), workspace)
+    q = _haar_q(_complex_normals(rng, (size, rows, cols), np.sqrt(0.5), workspace))
+    return q[0] if count is None else q
+
+
+def _haar_q(x: np.ndarray) -> np.ndarray:
+    """The QR half of ``haar_orthonormal_columns``: ``Q`` of an ``(n, rows,
+    cols)`` stack ``x`` of Gaussian matrices, each column times the phase of
+    its ``R`` diagonal entry. ``x`` is only read, and ``Q`` is the QR's own
+    array. A rank-deficient matrix raises ``numpy.linalg.LinAlgError``."""
     q, r = np.linalg.qr(x, mode="reduced")
     d = np.diagonal(r, axis1=-2, axis2=-1)
     if not float(np.min(np.abs(d))) > 1e-12:
         raise np.linalg.LinAlgError("random matrix is rank deficient")
     q *= (d / np.abs(d))[:, None, :]
-    return q[0] if count is None else q
+    return q
 
 
 @functools.cache

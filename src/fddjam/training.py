@@ -250,8 +250,8 @@ def _check_dimensions(
 
 
 def _hermitian_part(a: np.ndarray) -> np.ndarray:
-    # .mT transposes each matrix of a stack; a 1-D diagonal is its own transpose
-    return 0.5 * (a + (a.conj().mT if a.ndim > 1 else a.conj()))
+    # .mT transposes each matrix of a stack
+    return 0.5 * (a + a.conj().mT)
 
 
 def _training_system(x, spectrum: np.ndarray, trace_c: float, cfg: TrainingConfig):
@@ -340,8 +340,11 @@ def _as_matrix(a: np.ndarray) -> np.ndarray:
 def _estimator_k(k: np.ndarray, jam: np.ndarray | None, jammer_aware: bool) -> np.ndarray:
     """The ``K_est`` an estimator models: ``K + J`` when it is jammer-aware
     and a jammer transmits, else ``K``. Inputs are both matrices or both
-    1-D diagonals."""
-    return _hermitian_part(k + jam) if jammer_aware and jam is not None else k
+    1-D diagonals. A sum of matrices is made exactly Hermitian; a sum of
+    real diagonals already is, and ``0.5 * (a + a)`` would return its bits."""
+    if not jammer_aware or jam is None:
+        return k
+    return k + jam if np.ndim(k) == 1 else _hermitian_part(k + jam)
 
 
 def _filter(terms, jam, jammer_aware: bool) -> np.ndarray:

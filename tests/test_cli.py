@@ -43,13 +43,25 @@ def test_commands_run_on_one_blas_thread(monkeypatch):
     assert seen == [None if blas is None else 1]
 
 
-def test_runtime_does_not_import_scipy():
+def modules_after_importing_the_cli(*names):
+    """Which of ``names`` a fresh interpreter has loaded after ``import fddjam.cli``."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(Path(fddjam.__file__).parents[1]), env.get("PYTHONPATH")])
     )
-    code = "import sys, fddjam.cli; assert 'scipy' not in sys.modules"
-    subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60)
+    code = f"import sys, fddjam.cli; print(sorted({set(names)!r} & set(sys.modules)))"
+    done = subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=60,
+                          capture_output=True, text=True)
+    return done.stdout.strip()
+
+
+def test_runtime_does_not_import_scipy():
+    assert modules_after_importing_the_cli("scipy") == "[]"
+
+
+def test_cli_does_not_import_a_process_pool():
+    # only a sweep that starts worker processes loads them
+    assert modules_after_importing_the_cli("multiprocessing", "concurrent.futures") == "[]"
 
 
 class TestMseCommand:

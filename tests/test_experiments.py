@@ -1,5 +1,6 @@
 """Tests for sweep orchestration, persistence and the config schema."""
 
+import concurrent.futures
 import dataclasses
 import functools
 import json
@@ -253,7 +254,7 @@ class TestRunSweep:
         monkeypatch.setattr(experiments, "_evaluate_axis_value", blas_counts_of_point)
         if start_method is not None:
             monkeypatch.setattr(
-                experiments, "ProcessPoolExecutor",
+                concurrent.futures, "ProcessPoolExecutor",
                 functools.partial(ProcessPoolExecutor, mp_context=get_context(start_method)),
             )
         single = None if _bundled_openblas() is None else 1
@@ -264,7 +265,7 @@ class TestRunSweep:
             def __init__(self, *args, **kwargs):
                 raise RuntimeError("pool started")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         assert run_sweep(small_spec(), workers=2) == run_sweep(small_spec(), workers=1)
         with pytest.raises(RuntimeError, match="pool started"):
             run_sweep(small_spec(trials=10), workers=2)
@@ -532,7 +533,7 @@ class TestWorkers:
                 started.append(max_workers)
                 raise RuntimeError("pool started")
 
-        monkeypatch.setattr(experiments, "ProcessPoolExecutor", NoPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", NoPool)
         monkeypatch.setenv("FDDJAM_WORKERS", "3")
         spec = dataclasses.replace(small_spec(trials=10), axis_values=(2, 4))
         with pytest.raises(RuntimeError, match="pool started"):

@@ -1,5 +1,6 @@
 """Tests for jamming strategies and the design-verification oracle."""
 
+import sys
 import threading
 
 import numpy as np
@@ -266,15 +267,18 @@ class TestStackedLemma:
         assert got == lemma_outcome(verify_lemma_one_by_one, config, 4, 100)
 
     def test_draws_whole_stacks(self, monkeypatch):
-        draw, counts = fddjam.jammer.haar_orthonormal_columns, []
+        draw, counts, threads = fddjam.jammer._complex_normals, [], set()
 
-        def counted_draw(rows, cols, rng, count, *, workspace):
-            counts.append(count)
-            return draw(rows, cols, rng, count, workspace=workspace)
+        def counted_draw(rng, shape, scale, workspace):
+            counts.append(shape[0])
+            threads.add(threading.get_ident())
+            return draw(rng, shape, scale, workspace)
 
-        monkeypatch.setattr(fddjam.jammer, "haar_orthonormal_columns", counted_draw)
+        monkeypatch.setattr(fddjam.jammer, "_complex_normals", counted_draw)
         lemma_outcome(verify_lemma, LEMMA_CONFIGS[0], 1, 2 * _LEMMA_STACK + 5)
         assert counts == [_LEMMA_STACK, _LEMMA_STACK, 5]
+        assert len(threads) == 1
+        assert threading.get_ident() not in threads
 
     def test_singular_system_raises_like_the_loop(self):
         # noiseless, rank-one covariances: K + J is singular for L = 3
@@ -323,6 +327,71 @@ class TestStackedLemma:
         assert len(calls) == 1 + 56  # the optimal block, then candidates 0..55
         assert want[0] is np.linalg.LinAlgError
         assert got == want
+
+    def test_failing_stack_leaves_the_generator_after_that_stack(self, monkeypatch):
+        # the third stack, drawn ahead while the second failed, is undone
+        self.fail_solves_above(monkeypatch, 0.36)
+        bs_cov, jam_cov, pilots, cfg, rng = lemma_inputs(*LEMMA_CONFIGS[0], 2)
+        with pytest.raises(np.linalg.LinAlgError, match="injected"):
+            verify_lemma(bs_cov, jam_cov, pilots, cfg, 200, rng)
+        ref = lemma_inputs(*LEMMA_CONFIGS[0], 2)[-1]
+        for _ in range(2):
+            haar_orthonormal_columns(jam_cov.size, pilots.length, ref, _LEMMA_STACK)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("failure", [None, "evaluation", "draw"])
+    def test_no_thread_outlives_a_call(self, monkeypatch, failure):
+        # the helper runs during the call, and is gone after it however it ends
+        draw, during, boom = fddjam.jammer._complex_normals, [], RuntimeError("draw 2")
+
+        def watched_draw(rng, shape, scale, workspace):
+            during.append(threading.active_count())
+            if failure == "draw" and len(during) == 2:
+                raise boom
+            return draw(rng, shape, scale, workspace)
+
+        monkeypatch.setattr(fddjam.jammer, "_complex_normals", watched_draw)
+        if failure == "evaluation":
+            self.fail_solves_above(monkeypatch, 0.36)
+        bs_cov, jam_cov, pilots, cfg, rng = lemma_inputs(*LEMMA_CONFIGS[0], 2)
+        before = threading.active_count()
+        if failure is None:
+            verify_lemma(bs_cov, jam_cov, pilots, cfg, 200, rng)
+        else:
+            with pytest.raises(Exception) as got:
+                verify_lemma(bs_cov, jam_cov, pilots, cfg, 200, rng)
+            if failure == "draw":
+                assert got.value is boom
+            else:
+                assert type(got.value) is np.linalg.LinAlgError
+        assert threading.active_count() == before
+        # all 7 stacks; stack 3, drawn ahead while stack 2 failed; stack 2's draw
+        assert len(during) == {None: 7, "evaluation": 3, "draw": 2}[failure]
+        assert set(during) == {before + 1}
+
+
+    def test_concurrent_calls_keep_their_bits(self):
+        # three calls on three threads, each with its own helper, switching
+        # threads every microsecond: each is still the loop's result
+        config, results = LEMMA_CONFIGS[2], {}
+        want = {seed: lemma_outcome(verify_lemma_one_by_one, config, seed, 100)
+                for seed in range(3)}
+
+        def run(seed):
+            results[seed] = lemma_outcome(verify_lemma, config, seed, 100)
+
+        threads = [threading.Thread(target=run, args=(seed,)) for seed in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == want
 
 
 class TestLemmaTerms:
