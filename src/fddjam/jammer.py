@@ -90,7 +90,7 @@ def _drawn_ahead(draw, count: int, rng: np.random.Generator):
 
     thread = threading.Thread(target=helper, name="fddjam-lemma-draw")
     thread.start()
-    pending, state = count > 0, None
+    pending, state = count > 0, rng.bit_generator.state
     try:
         if pending:
             todo.put(0)

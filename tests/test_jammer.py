@@ -369,7 +369,6 @@ class TestStackedLemma:
         assert len(during) == {None: 7, "evaluation": 3, "draw": 2}[failure]
         assert set(during) == {before + 1}
 
-
     def test_concurrent_calls_keep_their_bits(self):
         # three calls on three threads, each with its own helper, switching
         # threads every microsecond: each is still the loop's result
